@@ -1,13 +1,14 @@
 """Run configuration shared by the command-line entry points."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .kernel import ComplexParam, Interval
 
 COEFF_TABLE_CAP = 8
 SERIES_CAP = 40
-CONVERGE_DIM_CAP = 512
+CONVERGE_DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "lam", "mu", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if self.tol <= 0:
@@ -35,6 +39,10 @@ class RunConfig:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        if not self.n_list:
+            raise ValueError("n_list must not be empty")
+        if min(self.n_list) < 2:
+            raise ValueError(f"every n in n_list must be >= 2, got {self.n_list}")
 
     @property
     def interval(self) -> Interval:

@@ -47,18 +47,24 @@ class PairOrdering:
 
     @classmethod
     def random_allowed(cls, n: int, seed: int) -> "PairOrdering":
-        """Sample an allowed ordering by repeatedly popping a random minimal pair."""
+        """Sample an allowed ordering by repeatedly popping a random minimal pair.
+
+        The sorted list of minimal pairs is kept up to date as pairs are
+        popped: removing (j, k) can only make (j+1, k) and (j, k+1) minimal.
+        """
         rng = random.Random(seed)
         remaining = {(j, k) for j in range(1, n) for k in range(j + 1, n + 1)}
+        minimal = [(1, 2)] if n >= 2 else []
         out: list[tuple[int, int]] = []
-        while remaining:
-            minimal = sorted(
-                (j, k)
-                for (j, k) in remaining
-                if (j - 1, k) not in remaining and (j, k - 1) not in remaining
-            )
-            out.append(minimal[rng.randrange(len(minimal))])
-            remaining.remove(out[-1])
+        while minimal:
+            j, k = minimal.pop(rng.randrange(len(minimal)))
+            out.append((j, k))
+            remaining.remove((j, k))
+            for p, q in ((j + 1, k), (j, k + 1)):
+                if (p, q) in remaining and (p - 1, q) not in remaining \
+                        and (p, q - 1) not in remaining:
+                    minimal.append((p, q))
+            minimal.sort()
         return cls(n, tuple(out))
 
     def is_allowed(self) -> bool:
@@ -151,6 +157,60 @@ def double_product(n: int, iv: Interval, nu: ComplexParam,
         m[:, j - 1] = c * cj + lo * ck
         m[:, k - 1] = up * cj + c * ck
     return DenseUnitary(matrix=m, interval=iv, param=nu)
+
+
+# Largest |c|^-t the blocked scan of product_columns may form.  The scan's
+# absolute error does not depend on it; it only keeps c^-t and c^t finite.
+_SCAN_GROWTH = 1e8
+
+
+def product_columns(n: int, iv: Interval, nu: ComplexParam, cols: Sequence[int]) -> np.ndarray:
+    """Columns ``cols`` (0-based) of the product, as an n x len(cols) block.
+
+    Same value as ``double_product(n, iv, nu).matrix[:, cols]`` in O(n^2 len(cols))
+    work, without forming an n x n array.  The row-major factors are applied
+    right to left to the unit columns, as row updates.  Sweep j touches row j
+    and rows k = n, n-1, ..., j+1 once each: the row-j accumulator obeys the
+    first-order recurrence a <- c a + up v_k, and row k becomes lo a + c v_k
+    with a taken before the step.  Each sweep solves the recurrence as a
+    scaled cumsum, cut into blocks of length L with |c|^-(L-1) <= _SCAN_GROWTH
+    so that no power of c overflows; a block of length 1 is the plain step
+    and never divides by c.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    cols = [int(col) for col in cols]
+    if any(not 0 <= col < n for col in cols):
+        raise ValueError(f"columns must lie in [0, {n}), got {cols}")
+    # u holds the block with its rows reversed, so every sweep reads forward:
+    # sweep r (1..n-1) has accumulator u[r] and steps through u[0], ..., u[r-1].
+    u = np.zeros((n, len(cols)), dtype=complex)
+    u[[n - 1 - col for col in cols], np.arange(len(cols))] = 1.0
+    if nu.modulus == 0.0:
+        return u[::-1].copy()
+    theta = iv.width * nu.modulus / n
+    c, s = math.cos(theta), math.sin(theta)
+    phase = nu.value / nu.modulus
+    up, lo = -phase.conjugate() * s, phase * s
+    decay = -math.log(abs(c)) if c else math.inf
+    block = n if decay == 0.0 else min(n, 1 + int(math.log(_SCAN_GROWTH) / decay))
+    pw = (c ** np.arange(block + 1))[:, None]    # c^0 .. c^L
+    ipw = (c ** -np.arange(block))[:, None]      # c^0 .. c^-(L-1)
+    for r in range(1, n):
+        a = u[r]
+        for start in range(0, r, block):
+            stop = min(start + block, r)
+            m = stop - start
+            x = u[start:stop]
+            # a_t = c^t a_0 + up c^(t-1) sum_{s<=t} c^-(s-1) x_s, t = 1..m
+            acc = pw[1:m + 1] * a + up * pw[:m] * np.cumsum(ipw[:m] * x, axis=0)
+            new = c * x
+            new[0] += lo * a
+            new[1:] += lo * acc[:-1]
+            u[start:stop] = new
+            a = acc[-1]
+        u[r] = a
+    return u[::-1].copy()
 
 
 def linearized_product(n: int, iv: Interval, nu: ComplexParam,
@@ -348,27 +408,38 @@ def convergence_study(ns: Sequence[int], samples: Iterable[tuple[float, float]],
     """Per-n max error between the product's kernel estimate and the limit kernel.
 
     Each sample point is mapped to its containing cell pair; the comparison
-    happens at that cell's midpoints.  The fitted rate is the slope of
+    happens at that cell's midpoints.  Only the sampled columns of the product
+    are formed (``product_columns``).  The fitted rate is the slope of
     log(error) against log(n); errors that are exactly zero (nu = 0) give a
-    fitted rate of 0 by convention.
+    fitted rate of 0 by convention.  A non-finite estimate or error raises
+    ArithmeticError rather than dropping out of the running maximum.
     """
     ns = tuple(ns)
+    if any(n < 2 for n in ns):
+        raise ValueError(f"sizes must be >= 2, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"sizes must be strictly increasing, got {ns}")
     samples = tuple(samples)
     errors = []
     for n in ns:
-        w = double_product(n, iv, nu)
-        mids, est = kernel_estimate(w)
         step = iv.width / n
+        cells = [(min(int((x - iv.a) / step), n - 1), min(int((y - iv.a) / step), n - 1))
+                 for x, y in samples]
+        cells = [(j, k) for j, k in cells if j != k]
+        cols = sorted({k for _, k in cells})
+        w = product_columns(n, iv, nu, cols)
+        where = {k: i for i, k in enumerate(cols)}
+        mids = midpoints(n, iv)
         worst = 0.0
-        for x, y in samples:
-            j = min(int((x - iv.a) / step), n - 1)
-            k = min(int((y - iv.a) / step), n - 1)
-            if j == k:
-                continue
+        for j, k in cells:
+            # off the diagonal, (W - I)[j, k] = W[j, k]
+            est = w[j, where[k]] * (n / iv.width)
             exact = limit_kernel(float(mids[j]), float(mids[k]), iv, nu, tol)
-            worst = max(worst, abs(est[j, k] - exact))
+            err = abs(est - exact)
+            if not math.isfinite(err):
+                raise ArithmeticError(
+                    f"non-finite kernel estimate at n={n}, cell ({j}, {k}): {est} vs {exact}")
+            worst = max(worst, err)
         errors.append(worst)
     bounds = tuple(first_excluded_term_bound(n, iv, nu) for n in ns)
     if all(e > 0 for e in errors):

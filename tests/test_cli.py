@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from causalprod import cli
@@ -126,8 +127,36 @@ def test_converge_zero_parameter(tmp_path):
 
 def test_converge_validation(tmp_path, capsys):
     assert _run(["converge", "--n-list", "40,20", "--out", str(tmp_path / "s.json")]) == 2
-    assert _run(["converge", "--n-list", "10,600", "--out", str(tmp_path / "s.json")]) == 2
-    assert "512" in capsys.readouterr().err
+    assert _run(["converge", "--n-list", "10,4097", "--out", str(tmp_path / "s.json")]) == 2
+    assert "4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--n-list", "1,2"],
+    ["--n-list", ","],
+    ["--lambda", "nan"],
+    ["--tol", "inf"],
+    ["--a=-inf"],
+    ["--b", "inf"],
+    ["--mu", "nan"],
+])
+def test_converge_invalid_input_refused(tmp_path, capsys, args):
+    assert _run(["converge", *args, "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):
+    from causalprod import product
+
+    monkeypatch.setattr(product, "product_columns",
+                        lambda n, iv, nu, cols: np.full((n, len(cols)), np.nan, dtype=complex))
+    assert _run(["converge", "--n-list", "10,20", "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_kernel_grid(tmp_path):

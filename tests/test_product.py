@@ -16,6 +16,7 @@ from causalprod.product import (
     limit_bilinear_form,
     linearized_product,
     midpoints,
+    product_columns,
     rotation_factor,
     sample_points,
 )
@@ -238,6 +239,62 @@ def test_convergence_study_rates():
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
         convergence_study((50, 50), sample_points(IV), IV, NU)
+
+
+def test_convergence_study_rejects_sizes_below_two():
+    with pytest.raises(ValueError):
+        convergence_study((1, 2), sample_points(IV), IV, NU)
+
+
+def test_convergence_study_large_sizes():
+    study = convergence_study((256, 512, 1024, 2048), sample_points(IV), IV, NU)
+    assert all(e1 > e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
+    assert 0.9 <= study.fitted_rate <= 1.1
+    assert all(err <= bound for err, bound in zip(study.max_errors, study.bounds))
+
+
+def _orderings(n):
+    return (PairOrdering.row_major(n), PairOrdering.column_major(n),
+            PairOrdering.random_allowed(n, seed=7))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+def test_product_columns_match_dense_product(n):
+    cols = sorted({0, 1, n // 2, n - 1})
+    fast = product_columns(n, IV, NU, cols)
+    assert fast.shape == (n, len(cols))
+    for ordering in _orderings(n):
+        dense = double_product(n, IV, NU, ordering).matrix[:, cols]
+        assert np.max(np.abs(fast - dense)) < 1e-13
+
+
+@pytest.mark.parametrize("theta, n", [(math.pi / 2, 200), (1.5, 200), (2.34, 200)])
+def test_product_columns_coarse_angles(theta, n):
+    """Rotation angles far from small, where the scan's powers of cos(theta) are extreme."""
+    nu = ComplexParam(0.0, theta * n / IV.width)
+    c = math.cos(IV.width * nu.modulus / n)
+    if theta == math.pi / 2:
+        assert abs(c) < 1e-15
+    cols = [0, 5, n // 3, n - 2, n - 1]
+    fast = product_columns(n, IV, nu, cols)
+    assert np.all(np.isfinite(fast))
+    dense = double_product(n, IV, nu).matrix[:, cols]
+    assert np.max(np.abs(fast - dense)) < 1e-13
+
+
+def test_product_columns_zero_parameter():
+    cols = [0, 3, 9]
+    assert np.array_equal(product_columns(10, IV, ComplexParam(0.0, 0.0), cols),
+                          np.eye(10)[:, cols])
+
+
+def test_product_columns_validation():
+    with pytest.raises(ValueError):
+        product_columns(1, IV, NU, [0])
+    with pytest.raises(ValueError):
+        product_columns(5, IV, NU, [5])
+    with pytest.raises(ValueError):
+        product_columns(5, IV, NU, [-1])
 
 
 def test_convergence_study_zero_parameter():
