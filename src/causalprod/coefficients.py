@@ -172,6 +172,137 @@ def truncated_kernel(x: float, y: float, a: float, b: float, nu: complex,
     return total
 
 
+class CountTable:
+    """Forward counts count(m, n, p, q) for m + n + p <= w_max, q in [q_lo, q_hi].
+
+    Built once from a pure ``count`` function, in exact integers; each
+    (m, n, p) row keeps its nonzero (q, count) pairs in increasing q.
+    """
+
+    def __init__(self, count: Callable[[int, int, int, int], int],
+                 w_max: int, q_lo: int, q_hi: int) -> None:
+        self.w_max, self.q_lo, self.q_hi = w_max, q_lo, q_hi
+        self._rows: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
+        for m in range(w_max + 1):
+            for n in range(w_max + 1 - m):
+                for p in range(w_max + 1 - m - n):
+                    vals = ((q, count(m, n, p, q)) for q in range(q_lo, q_hi + 1))
+                    self._rows[m, n, p] = tuple((q, c) for q, c in vals if c)
+
+    @classmethod
+    def for_identity(cls, w_max: int, xi_max: int,
+                     count: Callable[[int, int, int, int], int] | None = None) -> "CountTable":
+        """Table for every identity residual with alpha+beta+gamma <= w_max, xi <= xi_max.
+
+        For alpha + beta + gamma = w and 0 <= xi <= X, every row the identity
+        reads has weight <= w, and its q-indices are:
+
+        - ``count(alpha, beta, gamma, xi)``: q = xi, in [0, X];
+        - the triple sum: q = xi - gamma + p - 1 with 0 <= p <= gamma, in
+          [-w - 1, X - 1];
+        - the left factor: q = t1, in [0, X];
+        - the right factor: q = w_R + 1 - (xi - t1) with row weight w_R in
+          [0, w - 1] and 0 <= t1 <= xi, in [1 - X, w].
+
+        Hence the window [min(-w - 1, 1 - X), max(X, w)]; for verify's
+        X = w + 2 that is [-(w + 1), w + 2].
+        """
+        q_lo, q_hi = min(-w_max - 1, 1 - xi_max), max(xi_max, w_max)
+        return cls(count or forward_count_closed, w_max, q_lo, q_hi)
+
+    def row(self, m: int, n: int, p: int, lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+        """Nonzero (q, count) pairs of row (m, n, p), complete for q in [lo, hi].
+
+        The row may hold pairs outside [lo, hi]; callers filter.  Raises
+        IndexError when the table lacks the row or its window misses part of
+        [lo, hi], so an entry that was never evaluated cannot read as zero.
+        """
+        if lo < self.q_lo or hi > self.q_hi or m + n + p > self.w_max:
+            raise IndexError(f"count({m}, {n}, {p}, q) for q in [{lo}, {hi}] is outside the "
+                             f"table (weight <= {self.w_max}, q in [{self.q_lo}, {self.q_hi}])")
+        return self._rows[m, n, p]
+
+
+@lru_cache(maxsize=None)
+def _closed_table(w: int, xi_max: int) -> CountTable:
+    return CountTable.for_identity(w, xi_max)
+
+
+def unitarity_identity_residuals(
+    alpha: int,
+    beta: int,
+    gamma: int,
+    xi_max: int,
+    table_or_hook: CountTable | Callable[[int, int, int, int], int] | None = None,
+) -> list[int]:
+    """Residuals of the unitarity coefficient identity for xi = 0..xi_max.
+
+    ``table_or_hook`` is a :class:`CountTable` covering the triple (see
+    :meth:`CountTable.for_identity`), a pure count function to tabulate, or
+    None for the closed forms.  The five outer loops and their binomial
+    weights do not depend on xi, so they run once for all xi: each nonzero
+    left factor at t1 feeds every xi >= t1.
+    """
+    if min(alpha, beta, gamma) < 0 or xi_max < 0:
+        raise ValueError("indices must be >= 0")
+    w = alpha + beta + gamma
+    if isinstance(table_or_hook, CountTable):
+        table = table_or_hook
+    elif table_or_hook is None:
+        table = _closed_table(w, xi_max)
+    else:
+        table = CountTable.for_identity(w, xi_max, table_or_hook)
+    X = xi_max
+    out = [0] * (X + 1)
+    comb = math.comb
+
+    for q, c in table.row(alpha, beta, gamma, 0, X):
+        if 0 <= q <= X:
+            out[q] += c
+    if beta == 0 and alpha == gamma and alpha + 1 <= X:
+        out[alpha + 1] -= 1
+    if alpha == beta + gamma + 1 and alpha <= X:
+        out[alpha] -= comb(alpha + gamma - 1, gamma)
+
+    for m in range(alpha + 1):
+        cm = comb(alpha, m)
+        for p in range(gamma - alpha + m + 1):
+            cmp = cm * comb(gamma, p)
+            shift = gamma - p + 1  # xi = q + shift
+            for n in range(alpha + beta - gamma - m + p):
+                c = cmp * comb(gamma - alpha + m + n - p, n)
+                for q, v in table.row(m, n, alpha + beta - gamma - m - n + 2 * p - 1,
+                                      -shift, X - shift):
+                    if 0 <= q + shift <= X:
+                        out[q + shift] -= c * v
+
+    for m1 in range(alpha + 1):
+        ca = comb(alpha, m1)
+        for m2 in range(beta + 1):
+            cb = ca * comb(beta, m2)
+            k_base = alpha + gamma - m1 + m2
+            for n1 in range(gamma):
+                for n2 in range(gamma - n1):
+                    cn = cb * comb(n1 + n2, n1)
+                    for p1 in range(gamma - n1 - n2):
+                        left = table.row(m1, n1 + beta - m2, p1, 0, X)
+                        if not left:
+                            continue
+                        # the right factor's q is k - (xi - t1), and (-1)**k is the sign
+                        k = k_base - n1 - p1
+                        cp = (-1 if k % 2 else 1) * cn * comb(gamma - 1 - n1 - n2, p1)
+                        right = table.row(m2 + alpha - m1, n2, gamma - 1 - n1 - n2 - p1, k - X, k)
+                        for t1, lv in left:
+                            if not 0 <= t1 <= X:
+                                continue
+                            cl = cp * lv
+                            for r, rv in right:
+                                xi = k + t1 - r
+                                if t1 <= xi <= X:
+                                    out[xi] += cl * rv
+    return out
+
+
 def unitarity_identity_residual(
     alpha: int,
     beta: int,
@@ -185,48 +316,9 @@ def unitarity_identity_residual(
     power index xi, a multi-sum of forward counts and binomials that must
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
     ``forward_count`` hook exists so verification runs can inject a corrupted
-    table as a negative control.
+    table as a negative control.  It must be a pure function: it is
+    tabulated once, on a superset of the indices the multi-sum reads.
     """
-    if min(alpha, beta, gamma) < 0 or xi < 0:
+    if xi < 0:
         raise ValueError("indices must be >= 0")
-    count = forward_count if forward_count is not None else forward_count_closed
-
-    total = count(alpha, beta, gamma, xi)
-    if beta == 0 and alpha == gamma == xi - 1:
-        total -= 1
-    if alpha == xi and alpha == beta + gamma + 1:
-        total -= binomial(alpha + gamma - 1, gamma)
-
-    for m in range(alpha + 1):
-        for p in range(gamma - alpha + m + 1):
-            for n in range(alpha + beta - gamma - m + p):
-                total -= (
-                    count(m, n, alpha + beta - gamma - m - n + 2 * p - 1, xi - gamma + p - 1)
-                    * binomial(alpha, m)
-                    * binomial(gamma - alpha + m + n - p, n)
-                    * binomial(gamma, p)
-                )
-
-    for m1 in range(alpha + 1):
-        ca = binomial(alpha, m1)
-        for m2 in range(beta + 1):
-            cb = ca * binomial(beta, m2)
-            sign_base = alpha + gamma - m1 + m2
-            for n1 in range(gamma):
-                for n2 in range(gamma - n1):
-                    cn = cb * binomial(n1 + n2, n1)
-                    for p1 in range(gamma - n1 - n2):
-                        sign = -1 if (sign_base - n1 - p1) % 2 else 1
-                        cp = sign * cn * binomial(gamma - 1 - n1 - n2, p1)
-                        for t1 in range(xi + 1):
-                            left = count(m1, n1 + beta - m2, p1, t1)
-                            if left == 0:
-                                continue
-                            right = count(
-                                m2 + alpha - m1,
-                                n2,
-                                gamma - 1 - n1 - n2 - p1,
-                                alpha + gamma - xi - m1 - n1 - p1 + m2 + t1,
-                            )
-                            total += cp * left * right
-    return total
+    return unitarity_identity_residuals(alpha, beta, gamma, xi, forward_count)[xi]

@@ -9,6 +9,8 @@ from .kernel import ComplexParam, Interval
 COEFF_TABLE_CAP = 8
 SERIES_CAP = 40
 CONVERGE_DIM_CAP = 4096
+# verify's coefficient identity costs about s**8; s_max = 20 takes ~4 s
+VERIFY_IDENTITY_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -23,7 +25,6 @@ class RunConfig:
     tol: float = 1e-8
     fmt: str = "json"
     out: str | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "lam", "mu", "tol"):

@@ -9,6 +9,9 @@ unimodular parameter nu (conjugation is nu -> 1/nu).  Every coefficient of
 total degree <= S-1 must vanish exactly.  This is independent of both the
 Bessel closed forms and the multi-sum coefficient identity: it only consumes
 the closed-form forward/reversed count tables.
+
+The module also keeps the per-xi evaluation of that multi-sum identity, the
+slow oracle for the table-driven fast path in :mod:`causalprod.coefficients`.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from causalprod.coefficients import forward_count_closed
+from causalprod.combinatorics import binomial
 
 Mono = tuple[int, int, int]
 
@@ -100,3 +104,62 @@ def isometry_series_defects(s_top: int) -> list[tuple[Mono, int, Fraction]]:
                 if val != 0:
                     bad.append(((i, j, k), t, val))
     return bad
+
+
+def corrupted_count(at: tuple[int, int, int, int]):
+    """The closed-form forward count with one added to the entry ``at``: a negative control."""
+    def count(m: int, n: int, p: int, q: int) -> int:
+        val = forward_count_closed(m, n, p, q)
+        return val + 1 if (m, n, p, q) == at else val
+    return count
+
+
+def unitarity_identity_residual_slow(alpha: int, beta: int, gamma: int, xi: int,
+                                     count=forward_count_closed) -> int:
+    """The unitarity coefficient identity evaluated one xi at a time, straight from the sum.
+
+    Kept as the oracle for the batched, table-driven
+    ``coefficients.unitarity_identity_residuals``: it calls ``count`` on exactly
+    the indices the multi-sum names, with no table, no q-window and no reuse
+    across xi, so a window or indexing error in the fast path shows up as a
+    difference.
+    """
+    total = count(alpha, beta, gamma, xi)
+    if beta == 0 and alpha == gamma == xi - 1:
+        total -= 1
+    if alpha == xi and alpha == beta + gamma + 1:
+        total -= binomial(alpha + gamma - 1, gamma)
+
+    for m in range(alpha + 1):
+        for p in range(gamma - alpha + m + 1):
+            for n in range(alpha + beta - gamma - m + p):
+                total -= (
+                    count(m, n, alpha + beta - gamma - m - n + 2 * p - 1, xi - gamma + p - 1)
+                    * binomial(alpha, m)
+                    * binomial(gamma - alpha + m + n - p, n)
+                    * binomial(gamma, p)
+                )
+
+    for m1 in range(alpha + 1):
+        ca = binomial(alpha, m1)
+        for m2 in range(beta + 1):
+            cb = ca * binomial(beta, m2)
+            sign_base = alpha + gamma - m1 + m2
+            for n1 in range(gamma):
+                for n2 in range(gamma - n1):
+                    cn = cb * binomial(n1 + n2, n1)
+                    for p1 in range(gamma - n1 - n2):
+                        sign = -1 if (sign_base - n1 - p1) % 2 else 1
+                        cp = sign * cn * binomial(gamma - 1 - n1 - n2, p1)
+                        for t1 in range(xi + 1):
+                            left = count(m1, n1 + beta - m2, p1, t1)
+                            if left == 0:
+                                continue
+                            right = count(
+                                m2 + alpha - m1,
+                                n2,
+                                gamma - 1 - n1 - n2 - p1,
+                                alpha + gamma - xi - m1 - n1 - p1 + m2 + t1,
+                            )
+                            total += cp * left * right
+    return total

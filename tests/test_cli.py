@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from causalprod import cli
-from causalprod.config import RunConfig
+from causalprod.config import VERIFY_IDENTITY_CAP, RunConfig
 
 
 def _run(argv):
@@ -106,6 +106,27 @@ def test_verify_detects_corrupted_table(tmp_path):
     assert bad["pass"] == 0 and bad["residual"] > 0
 
 
+# q = -5 is read only as the right-hand factor; q = 10 = s_max + 2 is the window's top
+@pytest.mark.parametrize("at", [(0, 0, 0, -5), (0, 8, 0, 10)])
+def test_verify_detects_corruption_at_window_edges(tmp_path, at):
+    from series_oracle import corrupted_count
+
+    cfg = RunConfig(s_max=8, out=str(tmp_path / "r.json"))
+    assert cli.cmd_verify(cfg, forward_count=corrupted_count(at)) == 1
+    payload = _read_json(tmp_path / "r.json")
+    bad = next(r for r in payload["rows"] if r["name"] == "unitarity_coefficient_identity")
+    assert bad["pass"] == 0 and bad["residual"] > 0
+
+
+def test_verify_cap_refusal(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert _run(["verify", "--s-max", str(VERIFY_IDENTITY_CAP + 1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refusing:") and err.count("\n") == 1
+    assert str(VERIFY_IDENTITY_CAP) in err
+    assert not out.exists()
+
+
 def test_converge_artifact(tmp_path):
     out = tmp_path / "study.csv"
     assert _run(["converge", "--n-list", "10,20,40", "--format", "csv",
@@ -188,7 +209,7 @@ def test_artifacts_are_deterministic(tmp_path):
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     for path in (c, d):
         assert _run(["converge", "--n-list", "10,20", "--format", "csv",
-                     "--out", str(path), "--seed", "1"]) == 0
+                     "--out", str(path)]) == 0
     assert c.read_bytes() == d.read_bytes()
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from causalprod.coefficients import (
     CoeffKey,
+    CountTable,
     anticausal_series,
     causal_series,
     forward_count_brute,
@@ -12,9 +13,14 @@ from causalprod.coefficients import (
     reversed_count_closed,
     truncated_kernel,
     unitarity_identity_residual,
+    unitarity_identity_residuals,
 )
 from causalprod.combinatorics import catalan_general
-from series_oracle import isometry_series_defects
+from series_oracle import (
+    corrupted_count,
+    isometry_series_defects,
+    unitarity_identity_residual_slow,
+)
 
 # degree-1..3 series slices, frozen as (m, n, p) -> {q: coefficient}
 EXPECTED_CAUSAL = {
@@ -150,6 +156,57 @@ def test_identity_residual_detects_corruption():
         return val + 1 if (m, n, p, q) == (1, 0, 1, 1) else val
 
     assert unitarity_identity_residual(1, 0, 1, 1, forward_count=corrupted) != 0
+
+
+def identity_triples(s):
+    return [(alpha, beta, gamma) for alpha in range(s + 1) for beta in range(s + 1 - alpha)
+            for gamma in range(s + 1 - alpha - beta)]
+
+
+# (1, 0, 1, 1): a nonzero entry of low weight;
+# (0, 0, 0, -5): negative q, read for s <= 8 only as the right-hand factor;
+# (0, 8, 0, 10): q = s + 2, the top edge of the table window at s = 8
+IDENTITY_CORRUPTIONS = [(1, 0, 1, 1), (0, 0, 0, -5), (0, 8, 0, 10)]
+
+
+@pytest.mark.parametrize("at", [None, *IDENTITY_CORRUPTIONS])
+def test_identity_batched_matches_slow_oracle(at):
+    count = forward_count_closed if at is None else corrupted_count(at)
+    table = CountTable.for_identity(8, 10, count)
+    nonzero = 0
+    for alpha, beta, gamma in identity_triples(8):
+        xi_max = alpha + beta + gamma + 2
+        fast = unitarity_identity_residuals(alpha, beta, gamma, xi_max, table)
+        assert fast == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+                        for xi in range(xi_max + 1)]
+        nonzero += any(fast)
+    assert (nonzero == 0) == (at is None)
+
+
+@pytest.mark.parametrize("at", [None, (1, 0, 1, 1), (0, 0, 0, -3)])
+def test_identity_scalar_matches_slow_oracle(at):
+    hook = None if at is None else corrupted_count(at)
+    count = hook or forward_count_closed
+    for alpha, beta, gamma in identity_triples(4):
+        for xi in range(9):
+            assert unitarity_identity_residual(alpha, beta, gamma, xi, hook) == \
+                unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+
+
+def test_identity_table_window_guard():
+    full = CountTable.for_identity(4, 6)
+    assert (full.q_lo, full.q_hi) == (-5, 6)
+    assert unitarity_identity_residuals(0, 0, 4, 6, full) == [0] * 7
+    for q_lo, q_hi in ((-4, 6), (-5, 5)):
+        short = CountTable(forward_count_closed, 4, q_lo, q_hi)
+        with pytest.raises(IndexError):
+            unitarity_identity_residuals(0, 0, 4, 6, short)
+    with pytest.raises(IndexError):
+        unitarity_identity_residuals(3, 1, 1, 7, full)  # rows of weight 5
+    with pytest.raises(IndexError):
+        unitarity_identity_residuals(2, 1, 1, 7, full)  # xi beyond the window
+    with pytest.raises(IndexError):
+        full.row(0, 0, 0, -6, 0)
 
 
 def test_isometry_series_oracle_exact():
