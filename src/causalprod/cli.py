@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import coefficients as coeff
 from . import kernel as ker
@@ -166,8 +166,8 @@ def cmd_kernel(cfg: RunConfig) -> int:
     rows = []
     worst = 0.0
     for x in pts:
-        for y in pts:
-            val = ker.limit_kernel(x, y, iv, nu)
+        # one grid row per kernel call: its order-sum block holds O(n * orders) values
+        for y, val in zip(pts, ker.limit_kernel(x, pts, iv, nu).tolist()):
             row = {"x": x, "y": y, "re": val.real, "im": val.imag}
             if cfg.s_max >= 1:
                 ser = coeff.truncated_kernel(x, y, iv.a, iv.b, nu.value, cfg.s_max)
@@ -181,6 +181,16 @@ def cmd_kernel(cfg: RunConfig) -> int:
         headers += ["series_re", "series_im", "abs_diff"]
     _emit(cfg, headers, rows, {"n": cfg.n, "s_max": cfg.s_max, "max_series_diff": worst})
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one stderr line and exit status 2.
+
+    Subparsers are built with the class of their parent, so they inherit it.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"invalid arguments: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
     common.add_argument("--out", type=str, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalprod",
         description="Verification lab for causal rotation products and their limit kernel.")
     sub = parser.add_subparsers(dest="command", required=True)

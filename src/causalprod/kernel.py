@@ -6,10 +6,15 @@ The building block is the entire two-variable series
               = (-1)^j (x/y)^{j/2} J_j(2 sqrt(xy)),
 
 together with its one-variable profile G_j(x) = J_j(2 sqrt(x)) / x^{j/2}.
-All evaluations are truncated partial sums with a rigorous factorial tail
-bound: once the term ratio drops below 1/2 the remaining tail is dominated by
-the last term, so stopping at |term| <= tol * max(1, |sum|) keeps the
-truncation error below the requested tolerance.
+Both are partial sums of one alternating series, which ``_alt_series``
+evaluates elementwise over numpy arrays; the kernels and the quadrature checks
+pass whole Gauss-Legendre panels through it.  The stopping rule bounds the
+truncation error only: once the term ratio drops below 1/2 the remaining tail
+is dominated by the last term, so stopping at |term| <= tol * max(1, |sum|)
+keeps the truncation error below the requested tolerance.  Rounding error from
+cancellation between the alternating terms is not bounded.  It grows with xy:
+B_0(x, x) is off by ~1e-10 at xy = 100, by ~1e-5 at xy = 225 and in every
+digit at xy = 400 (ROADMAP item 2).
 """
 from __future__ import annotations
 
@@ -22,6 +27,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 _MAX_TERMS = 600
+_FIRST_ORDERS = 32  # orders in the first block of the kernel's q-sum
+_MAX_ORDER = 170  # largest q whose q! is a finite float64
 
 
 @dataclass(frozen=True)
@@ -62,49 +69,111 @@ class Interval:
         return self.b - self.a
 
 
+def _alt_series(first, z, j, tol: float) -> np.ndarray:
+    """Elementwise sum over n >= 0 of first * prod_{k=1..n} (-z / (k (k + j))).
+
+    B_j(x, y) is first = (-x)^j / j! with z = x y; G_j(t) is first = 1 / j!
+    with z = t.  The arguments broadcast; j holds integer orders >= 0.  Each
+    element stops once the term ratio is below 1/2 and |term| <= tol *
+    max(1, |sum|), and is frozen from then on, so it gets the partial sum it
+    would get alone.  An element that has not stopped after _MAX_TERMS terms
+    raises ArithmeticError.
+    """
+    if tol <= 0:
+        raise ValueError(f"need tol > 0, got {tol}")
+    z, j = np.asarray(z, dtype=float), np.asarray(j)
+    term = np.array(np.broadcast_to(first, np.broadcast_shapes(np.shape(first), z.shape, j.shape)),
+                    dtype=float)
+    total = term.copy()
+    live = np.ones(term.shape, dtype=bool)
+    neg_z, abs_z = -z, np.abs(z)
+    for k in range(1, _MAX_TERMS):
+        np.multiply(term, neg_z / (k * (k + j)), out=term, where=live)
+        np.add(total, term, out=total, where=live)
+        ratio = abs_z / ((k + 1) * (k + j + 1))
+        live &= ~((ratio < 0.5) & (np.abs(term) <= tol * np.maximum(1.0, np.abs(total))))
+        if not live.any():
+            return total
+    worst = np.broadcast_to(abs_z, live.shape)[live].max()
+    raise ArithmeticError(f"{np.count_nonzero(live)} of {live.size} series did not settle in "
+                          f"{_MAX_TERMS} terms (largest unsettled |z| = {worst:.6g})")
+
+
+def _bessel_b(j: int, x, y, tol: float) -> np.ndarray:
+    """B_j(x, y) elementwise, for one order j >= 0."""
+    x = np.asarray(x, dtype=float)
+    return _alt_series((-x) ** j / math.factorial(j), x * y, j, tol)
+
+
+def _profile(j: int, t, tol: float) -> np.ndarray:
+    """G_j(t) elementwise, for one order j >= 0."""
+    return _alt_series(1.0 / math.factorial(j), t, j, tol)
+
+
 def bessel_series(j: int, x: float, y: float, tol: float = DEFAULT_TOL) -> float:
-    """Partial sum of B_j(x, y) with truncation error below tol.
+    """Partial sum of B_j(x, y) with truncation error below tol (scalar arguments).
 
     j = -1 is understood as B_{-1}(x, y) = -B_1(y, x), which is the value of
     d/dx B_0 with the opposite sign.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
     if j == -1:
         return -bessel_series(1, y, x, tol)
     if j < 0:
         raise ValueError(f"order must be >= -1, got {j}")
-    term = (-1.0) ** j * x**j / math.factorial(j)
-    total = term
-    for n in range(1, _MAX_TERMS):
-        term *= -x * y / ((n + j) * n)
-        total += term
-        ratio = abs(x * y) / ((n + j + 1) * (n + 1))
-        if ratio < 0.5 and abs(term) <= tol * max(1.0, abs(total)):
-            return total
-    raise ArithmeticError(f"series for B_{j}({x}, {y}) did not settle in {_MAX_TERMS} terms")
+    return float(_bessel_b(j, x, y, tol))
 
 
 def bessel_profile(j: int, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Partial sum of G_j(x) = sum_{k>=0} (-1)^k x^k / (k! (k+j)!)."""
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    """Partial sum of G_j(x) = sum_{k>=0} (-1)^k x^k / (k! (k+j)!) (scalar argument)."""
     if j < 0:
         raise ValueError(f"order must be >= 0, got {j}")
-    term = 1.0 / math.factorial(j)
-    total = term
-    for k in range(1, _MAX_TERMS):
-        term *= -x / (k * (k + j))
-        total += term
-        ratio = abs(x) / ((k + 1) * (k + j + 1))
-        if ratio < 0.5 and abs(term) <= tol * max(1.0, abs(total)):
-            return total
-    raise ArithmeticError(f"series for G_{j}({x}) did not settle in {_MAX_TERMS} terms")
+    return float(_profile(j, x, tol))
 
 
-def kernel_causal(x: float, y: float, iv: Interval, nu: ComplexParam,
-                  tol: float = DEFAULT_TOL) -> complex:
-    """Kernel value on the causal region a <= x < y < b.
+def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.ndarray:
+    """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x.
+
+    B_q for q = 0..n_q-1 is evaluated at every point in one (q x point) block.
+    Each point's sum stops after its first three consecutive |B_q| < tol; if
+    some point has no such run in the block, n_q doubles and the block is
+    redone, up to order _MAX_ORDER.  The weights are built and the terms added
+    in order of q, as a point-by-point loop would.
+    """
+    n_q = _FIRST_ORDERS
+    while True:
+        q = np.arange(n_q)[:, None]
+        factorials = np.array([math.factorial(i) for i in range(n_q)], dtype=float)[:, None]
+        b = _alt_series((-x) ** q / factorials, x * y, q, tol)
+        quiet = np.abs(b) < tol
+        run = quiet[:-2] & quiet[1:-1] & quiet[2:]
+        if run.any(axis=0).all():
+            break
+        if n_q > _MAX_ORDER:
+            raise ArithmeticError(f"order sum did not settle by order {_MAX_ORDER}")
+        n_q = min(2 * n_q, _MAX_ORDER + 1)
+    stop = run.argmax(axis=0) + 2
+    weight = np.cumprod(np.r_[1.0, np.full(n_q - 1, phase_bar)])[:, None]
+    return np.where(q <= stop, b * weight, 0.0).sum(axis=0)
+
+
+def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as broadcast float arrays; ValueError unless inside(x, y) holds everywhere."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    bad = ~inside(x, y)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"({x.flat[i]}, {y.flat[i]}) not in {region}")
+    return x, y
+
+
+def _result(values: np.ndarray) -> complex | np.ndarray:
+    """A Python complex for a scalar evaluation, else the complex array."""
+    return complex(values) if np.ndim(values) == 0 else values
+
+
+def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
+                  nu: ComplexParam, tol: float = DEFAULT_TOL) -> complex | np.ndarray:
+    """Kernel value on the causal region a <= x < y < b; x and y broadcast.
 
     nu*B_0((y-a)|nu|, (b-x)|nu|) + |nu|*B_1((b-a)|nu|, (y-x)|nu|)
     - (nu + conj(nu)) * sum_q B_q((y-x)|nu|, (b-a)|nu|) (conj(nu)/|nu|)^q.
@@ -112,54 +181,42 @@ def kernel_causal(x: float, y: float, iv: Interval, nu: ComplexParam,
     The q-sum's weights are unimodular, so its truncation relies on the decay
     of B_q in the order; it stops after three consecutive |B_q| < tol.
     """
-    if not (iv.a <= x < y < iv.b):
-        raise ValueError(f"({x}, {y}) not in the causal region of {iv}")
+    x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < v) & (v < iv.b),
+                   f"the causal region of {iv}")
     r = nu.modulus
     if r == 0.0:
-        return 0j
+        return _result(np.zeros(x.shape, dtype=complex))
     v = nu.value
-    total = v * bessel_series(0, (y - iv.a) * r, (iv.b - x) * r, tol)
-    total += r * bessel_series(1, iv.width * r, (y - x) * r, tol)
+    total = v * _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+    total += r * _bessel_b(1, iv.width * r, (y - x) * r, tol)
     two_lam = v + v.conjugate()
     if two_lam != 0:
-        phase_bar = v.conjugate() / r
-        acc = 0j
-        weight = 1.0 + 0j
-        quiet = 0
-        q = 0
-        while quiet < 3:
-            if q > _MAX_TERMS:
-                raise ArithmeticError("order sum did not settle")
-            bq = bessel_series(q, (y - x) * r, iv.width * r, tol)
-            acc += bq * weight
-            quiet = quiet + 1 if abs(bq) < tol else 0
-            weight *= phase_bar
-            q += 1
-        total -= two_lam * acc
-    return total
+        acc = _order_sum(((y - x) * r).ravel(), iv.width * r, v.conjugate() / r, tol)
+        total -= two_lam * acc.reshape(x.shape)
+    return _result(total)
 
 
-def kernel_anticausal(x: float, y: float, iv: Interval, nu: ComplexParam,
-                      tol: float = DEFAULT_TOL) -> complex:
+def kernel_anticausal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
+                      nu: ComplexParam, tol: float = DEFAULT_TOL) -> complex | np.ndarray:
     """Kernel value on the anticausal region a <= y < x < b: nu*B_0((y-a)|nu|, (b-x)|nu|)."""
-    if not (iv.a <= y < x < iv.b):
-        raise ValueError(f"({x}, {y}) not in the anticausal region of {iv}")
+    x, y = _points(x, y, lambda u, v: (iv.a <= v) & (v < u) & (u < iv.b),
+                   f"the anticausal region of {iv}")
     r = nu.modulus
     if r == 0.0:
-        return 0j
-    return nu.value * bessel_series(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+        return _result(np.zeros(x.shape, dtype=complex))
+    return _result(nu.value * _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol))
 
 
-def limit_kernel(x: float, y: float, iv: Interval, nu: ComplexParam,
-                 tol: float = DEFAULT_TOL) -> complex:
+def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
+                 nu: ComplexParam, tol: float = DEFAULT_TOL) -> complex | np.ndarray:
     """Kernel of (limit operator - identity) on [a, b)^2; zero on the diagonal."""
-    if not (iv.a <= x < iv.b and iv.a <= y < iv.b):
-        raise ValueError(f"({x}, {y}) outside {iv} square")
-    if x < y:
-        return kernel_causal(x, y, iv, nu, tol)
-    if y < x:
-        return kernel_anticausal(x, y, iv, nu, tol)
-    return 0j
+    x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < iv.b) & (iv.a <= v) & (v < iv.b),
+                   f"the square of {iv}")
+    out = np.zeros(x.shape, dtype=complex)
+    for branch, mask in ((kernel_causal, x < y), (kernel_anticausal, y < x)):
+        if mask.any():
+            out[mask] = branch(x[mask], y[mask], iv, nu, tol)
+    return _result(out)
 
 
 @dataclass(frozen=True)
@@ -175,19 +232,24 @@ class KernelField:
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return tuple(nodes), tuple(weights)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def gauss_legendre(fn: Callable[[float], complex], lo: float, hi: float, n: int) -> complex:
-    """n-node Gauss-Legendre quadrature of fn over (lo, hi)."""
+def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                   n: int) -> complex:
+    """n-node Gauss-Legendre quadrature of fn over (lo, hi).
+
+    fn is called once, on the array of the n nodes, and returns the n values.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     nodes, weights = _gl_nodes(n)
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * sum(w * fn(mid + half * t) for t, w in zip(nodes, weights))
+    return (half * (weights @ fn(0.5 * (lo + hi) + half * nodes))).item()
 
 
 def isometry_residual(x: float, y: float, iv: Interval, nu: ComplexParam,
@@ -206,10 +268,10 @@ def isometry_residual(x: float, y: float, iv: Interval, nu: ComplexParam,
     if quad_n < 2:
         raise ValueError(f"need quad_n >= 2, got {quad_n}")
 
-    def f(u: float, z: float) -> complex:
+    def f(u, z):
         return kernel_causal(u, z, iv, nu, tol)
 
-    def g(u: float, z: float) -> complex:
+    def g(u, z):
         return kernel_anticausal(u, z, iv, nu, tol)
 
     total = f(x, y) + g(y, x).conjugate()
@@ -232,15 +294,12 @@ def lommel_residual(alpha: float, beta: float, x: float, quad_n: int = 64,
         raise ValueError("closed form needs alpha != beta")
     if x < 0:
         raise ValueError("need x >= 0")
-    lhs = gauss_legendre(
-        lambda z: bessel_profile(0, alpha * z, tol) * bessel_profile(0, beta * z, tol),
-        0.0, x, quad_n,
-    )
-    rhs = (
-        alpha * x * bessel_profile(1, alpha * x, tol) * bessel_profile(0, beta * x, tol)
-        - beta * x * bessel_profile(1, beta * x, tol) * bessel_profile(0, alpha * x, tol)
-    ) / (alpha - beta)
-    return abs(lhs - rhs)
+    scales = np.array([[alpha], [beta]])
+    lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z, tol), axis=0), 0.0, x, quad_n)
+    g0a, g0b = _profile(0, (alpha * x, beta * x), tol)
+    g1a, g1b = _profile(1, (alpha * x, beta * x), tol)
+    rhs = (alpha * x * g1a * g0b - beta * x * g1b * g0a) / (alpha - beta)
+    return float(abs(lhs - rhs))
 
 
 def sonine_gegenbauer_residual(beta: float, z: float, quad_n: int = 64,
@@ -254,12 +313,9 @@ def sonine_gegenbauer_residual(beta: float, z: float, quad_n: int = 64,
         raise ValueError("need beta > 0")
     if z < 0:
         raise ValueError("need z >= 0")
-    lhs = gauss_legendre(
-        lambda w: bessel_profile(1, w, tol) * bessel_profile(1, w + beta, tol),
-        0.0, z, quad_n,
-    )
-    rhs = (
-        z * bessel_profile(1, z, tol) * bessel_profile(0, z + beta, tol)
-        - (z + beta) * bessel_profile(1, z + beta, tol) * bessel_profile(0, z, tol)
-    ) / beta + bessel_profile(1, beta, tol)
-    return abs(lhs - rhs)
+    shifts = np.array([[0.0], [beta]])
+    lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts, tol), axis=0), 0.0, z, quad_n)
+    g1z, g1zb, g1b = _profile(1, (z, z + beta, beta), tol)
+    g0z, g0zb = _profile(0, (z, z + beta), tol)
+    rhs = (z * g1z * g0zb - (z + beta) * g1zb * g0z) / beta + g1b
+    return float(abs(lhs - rhs))

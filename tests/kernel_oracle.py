@@ -1,0 +1,120 @@
+"""Scalar slow path of the kernel layer: the oracle for its array evaluation.
+
+``causalprod.kernel`` evaluates B_j, G_j, the order sum and every quadrature
+panel as numpy arrays through one series core.  This module keeps the
+point-by-point loops that the array core replaced, so that the differential
+tests in ``test_kernel_arrays.py`` compare the fast path with the slow one and
+not with itself.  The loops are kept as they were: one partial sum per point,
+the order sum stopping after three consecutive |B_q| < tol, and one scalar
+kernel call per Gauss-Legendre node.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from causalprod.kernel import ComplexParam, Interval
+
+_MAX_TERMS = 600
+
+
+def bessel_series_slow(j: int, x: float, y: float, tol: float) -> float:
+    """B_j(x, y) for j >= 0, one term at a time."""
+    term = (-1.0) ** j * x**j / math.factorial(j)
+    total = term
+    for n in range(1, _MAX_TERMS):
+        term *= -x * y / ((n + j) * n)
+        total += term
+        ratio = abs(x * y) / ((n + j + 1) * (n + 1))
+        if ratio < 0.5 and abs(term) <= tol * max(1.0, abs(total)):
+            return total
+    raise ArithmeticError(f"series for B_{j}({x}, {y}) did not settle")
+
+
+def bessel_profile_slow(j: int, x: float, tol: float) -> float:
+    """G_j(x) for j >= 0, one term at a time."""
+    term = 1.0 / math.factorial(j)
+    total = term
+    for k in range(1, _MAX_TERMS):
+        term *= -x / (k * (k + j))
+        total += term
+        ratio = abs(x) / ((k + 1) * (k + j + 1))
+        if ratio < 0.5 and abs(term) <= tol * max(1.0, abs(total)):
+            return total
+    raise ArithmeticError(f"series for G_{j}({x}) did not settle")
+
+
+def kernel_causal_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
+                       tol: float) -> complex:
+    r = nu.modulus
+    if r == 0.0:
+        return 0j
+    v = nu.value
+    total = v * bessel_series_slow(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+    total += r * bessel_series_slow(1, iv.width * r, (y - x) * r, tol)
+    two_lam = v + v.conjugate()
+    if two_lam != 0:
+        phase_bar = v.conjugate() / r
+        acc, weight, quiet, q = 0j, 1.0 + 0j, 0, 0
+        while quiet < 3:
+            if q > _MAX_TERMS:
+                raise ArithmeticError("order sum did not settle")
+            bq = bessel_series_slow(q, (y - x) * r, iv.width * r, tol)
+            acc += bq * weight
+            quiet = quiet + 1 if abs(bq) < tol else 0
+            weight *= phase_bar
+            q += 1
+        total -= two_lam * acc
+    return total
+
+
+def kernel_anticausal_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
+                           tol: float) -> complex:
+    r = nu.modulus
+    if r == 0.0:
+        return 0j
+    return nu.value * bessel_series_slow(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+
+
+def gauss_legendre_slow(fn, lo: float, hi: float, n: int) -> complex:
+    """One scalar call of fn per node."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * sum(w * fn(mid + half * t) for t, w in zip(nodes.tolist(), weights.tolist()))
+
+
+def isometry_residual_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
+                           quad_n: int, tol: float) -> complex:
+    def f(u, z):
+        return kernel_causal_slow(u, z, iv, nu, tol)
+
+    def g(u, z):
+        return kernel_anticausal_slow(u, z, iv, nu, tol)
+
+    total = f(x, y) + g(y, x).conjugate()
+    total += gauss_legendre_slow(lambda z: g(x, z) * g(y, z).conjugate(), iv.a, x, quad_n)
+    total += gauss_legendre_slow(lambda z: f(x, z) * g(y, z).conjugate(), x, y, quad_n)
+    total += gauss_legendre_slow(lambda z: f(x, z) * f(y, z).conjugate(), y, iv.b, quad_n)
+    return total
+
+
+def lommel_residual_slow(alpha: float, beta: float, x: float, quad_n: int,
+                         tol: float) -> float:
+    def g(j, t):
+        return bessel_profile_slow(j, t, tol)
+
+    lhs = gauss_legendre_slow(lambda z: g(0, alpha * z) * g(0, beta * z), 0.0, x, quad_n)
+    rhs = (alpha * x * g(1, alpha * x) * g(0, beta * x)
+           - beta * x * g(1, beta * x) * g(0, alpha * x)) / (alpha - beta)
+    return abs(lhs - rhs)
+
+
+def sonine_gegenbauer_residual_slow(beta: float, z: float, quad_n: int, tol: float) -> float:
+    def g(j, t):
+        return bessel_profile_slow(j, t, tol)
+
+    lhs = gauss_legendre_slow(lambda w: g(1, w) * g(1, w + beta), 0.0, z, quad_n)
+    rhs = (z * g(1, z) * g(0, z + beta)
+           - (z + beta) * g(1, z + beta) * g(0, z)) / beta + g(1, beta)
+    return abs(lhs - rhs)

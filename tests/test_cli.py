@@ -218,6 +218,27 @@ def test_invalid_configuration_rejected(capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--s-max", "x"],
+    ["converge", "--seed", "1"],
+    [],
+])
+def test_argument_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+
+
+def test_help_is_not_an_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["verify", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: causalprod verify") and "--s-max" in out and err == ""
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(tol=0.0)

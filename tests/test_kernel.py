@@ -209,3 +209,17 @@ def test_sonine_gegenbauer_residual():
     assert sonine_gegenbauer_residual(2.0, 0.5) < 1e-9
     with pytest.raises(ValueError):
         sonine_gegenbauer_residual(0.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 6.5, 8.0])
+def test_bessel_series_matches_mpmath_below_cancellation(x):
+    mpmath = pytest.importorskip("mpmath")
+    # B_0(x, x) = J_0(2x)
+    assert abs(bessel_series(0, x, x) - float(mpmath.besselj(0, 2 * x))) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: cancellation in the alternating "
+                   "series; B_0(20, 20) comes out as -0.090 where J_0(40) = 0.0074")
+def test_bessel_series_matches_mpmath_at_large_argument():
+    mpmath = pytest.importorskip("mpmath")
+    assert abs(bessel_series(0, 20.0, 20.0) - float(mpmath.besselj(0, 40))) <= 1e-9
