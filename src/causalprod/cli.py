@@ -166,8 +166,8 @@ def cmd_kernel(cfg: RunConfig) -> int:
     rows = []
     worst = 0.0
     for x in pts:
-        # one grid row per kernel call: its order-sum block holds O(n * orders) values
-        for y, val in zip(pts, ker.limit_kernel(x, pts, iv, nu).tolist()):
+        for y in pts:
+            val = ker.limit_kernel(x, y, iv, nu)
             row = {"x": x, "y": y, "re": val.real, "im": val.imag}
             if cfg.s_max >= 1:
                 ser = coeff.truncated_kernel(x, y, iv.a, iv.b, nu.value, cfg.s_max)

@@ -27,8 +27,11 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 _MAX_TERMS = 600
+_TAIL_TERMS = 24  # terms in a series chunk past the point where the term ratio is 1/2
+_CHUNK_VALUES = 1 << 12  # largest (term x element) chunk of the series core
 _FIRST_ORDERS = 32  # orders in the first block of the kernel's q-sum
 _MAX_ORDER = 170  # largest q whose q! is a finite float64
+_FACTORIALS = np.array([math.factorial(q) for q in range(_MAX_ORDER + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -69,38 +72,78 @@ class Interval:
         return self.b - self.a
 
 
+def _filled(values, shape: tuple, dtype: type) -> np.ndarray:
+    """A new array of the given shape and dtype holding values, broadcast."""
+    out = np.empty(shape, dtype=dtype)
+    out[...] = values
+    return out
+
+
 def _alt_series(first, z, j, tol: float) -> np.ndarray:
     """Elementwise sum over n >= 0 of first * prod_{k=1..n} (-z / (k (k + j))).
 
     B_j(x, y) is first = (-x)^j / j! with z = x y; G_j(t) is first = 1 / j!
     with z = t.  The arguments broadcast; j holds integer orders >= 0.  Each
-    element stops once the term ratio is below 1/2 and |term| <= tol *
-    max(1, |sum|), and is frozen from then on, so it gets the partial sum it
-    would get alone.  An element that has not stopped after _MAX_TERMS terms
-    raises ArithmeticError.
+    element stops at its first term n >= 1 with ratio |z| / ((n+1)(n+j+1)) <
+    1/2 and |term| <= tol * max(1, |sum|), so it gets the partial sum it would
+    get alone.  The terms are formed a chunk at a time for all elements still
+    running, as a running product and a running sum along the term axis; a
+    chunk holds at most _CHUNK_VALUES values unless it is a single term.  An
+    element that has not stopped after _MAX_TERMS terms, or whose partial sum
+    overflows, raises ArithmeticError.
     """
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
-    z, j = np.asarray(z, dtype=float), np.asarray(j)
-    term = np.array(np.broadcast_to(first, np.broadcast_shapes(np.shape(first), z.shape, j.shape)),
-                    dtype=float)
-    total = term.copy()
-    live = np.ones(term.shape, dtype=bool)
-    neg_z, abs_z = -z, np.abs(z)
-    for k in range(1, _MAX_TERMS):
-        np.multiply(term, neg_z / (k * (k + j)), out=term, where=live)
-        np.add(total, term, out=total, where=live)
-        ratio = abs_z / ((k + 1) * (k + j + 1))
-        live &= ~((ratio < 0.5) & (np.abs(term) <= tol * np.maximum(1.0, np.abs(total))))
-        if not live.any():
-            return total
-    worst = np.broadcast_to(abs_z, live.shape)[live].max()
-    raise ArithmeticError(f"{np.count_nonzero(live)} of {live.size} series did not settle in "
-                          f"{_MAX_TERMS} terms (largest unsettled |z| = {worst:.6g})")
+    shape = np.broadcast(first, z, j).shape
+    first, z, j = (_filled(a, shape, t).ravel() for a, t in ((first, float), (z, float), (j, int)))
+    z_max = float(np.abs(z).max(initial=0.0))
+    if not math.isfinite(z_max):
+        raise ArithmeticError(f"series argument {z_max} is not finite")
+    # the term ratio drops below 1/2 by term sqrt(2 |z|); the tail then shrinks geometrically
+    span = _TAIL_TERMS + int(math.sqrt(2.0 * z_max))
+    out = np.empty(first.size)
+    live, term, total, k0 = np.arange(first.size), first, first, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if k0 == _MAX_TERMS:
+                raise ArithmeticError(f"{live.size} of {out.size} series did not settle in "
+                                      f"{_MAX_TERMS} terms (largest unsettled |z| = "
+                                      f"{np.abs(z[live]).max():.6g})")
+            n = max(1, min(span, _CHUNK_VALUES // live.size, _MAX_TERMS - k0))
+            zt, jt = z[live], j[live]
+            k = np.arange(k0, k0 + n + 1)[:, None]
+            kk = k * (k + jt)  # row i: (k0+i)(k0+i+j), the divisor of term k0+i
+            terms = np.empty((n + 1, live.size))
+            terms[0] = term
+            np.divide(-zt, kk[:-1], out=terms[1:])
+            np.multiply.accumulate(terms, out=terms)
+            sums = terms.copy()
+            sums[0] = total
+            np.add.accumulate(sums, out=sums)
+            done = ((np.abs(zt) / kk[1:] < 0.5)
+                    & (np.abs(terms[1:]) <= tol * np.maximum(1.0, np.abs(sums[1:]))))
+            cols = np.arange(live.size)
+            stop = done.argmax(axis=0)
+            hit = done[stop, cols]
+            if hit.all():
+                out[live] = sums[stop + 1, cols]
+                break
+            out[live[hit]] = sums[stop[hit] + 1, cols[hit]]
+            live, term, total = live[~hit], terms[-1, ~hit], sums[-1, ~hit]
+            k0 += n
+    if not np.isfinite(out).all():
+        raise ArithmeticError(f"series overflowed (largest |z| = {z_max:.6g})")
+    return out.reshape(shape)
 
 
-def _bessel_b(j: int, x, y, tol: float) -> np.ndarray:
-    """B_j(x, y) elementwise, for one order j >= 0."""
+def _bessel_b(j: int, x, y, tol: float) -> np.ndarray | float:
+    """B_j(x, y) elementwise, for one order j >= 0.
+
+    A single point is a call of the public bessel_series, so that per-point
+    kernel evaluations are seen, and traced, under that name.
+    """
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return bessel_series(j, float(x), float(y), tol)
     x = np.asarray(x, dtype=float)
     return _alt_series((-x) ** j / math.factorial(j), x * y, j, tol)
 
@@ -120,7 +163,7 @@ def bessel_series(j: int, x: float, y: float, tol: float = DEFAULT_TOL) -> float
         return -bessel_series(1, y, x, tol)
     if j < 0:
         raise ValueError(f"order must be >= -1, got {j}")
-    return float(_bessel_b(j, x, y, tol))
+    return float(_alt_series((-x) ** j / math.factorial(j), x * y, j, tol))
 
 
 def bessel_profile(j: int, x: float, tol: float = DEFAULT_TOL) -> float:
@@ -137,28 +180,40 @@ def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.nd
     Each point's sum stops after its first three consecutive |B_q| < tol; if
     some point has no such run in the block, n_q doubles and the block is
     redone, up to order _MAX_ORDER.  The weights are built and the terms added
-    in order of q, as a point-by-point loop would.
+    in order of q, as a point-by-point loop would.  A first term (-x)^q / q!
+    that overflows belongs to an order past the point's stop, or the point
+    cannot settle; it never counts as quiet.
     """
     n_q = _FIRST_ORDERS
     while True:
         q = np.arange(n_q)[:, None]
-        factorials = np.array([math.factorial(i) for i in range(n_q)], dtype=float)[:, None]
-        b = _alt_series((-x) ** q / factorials, x * y, q, tol)
-        quiet = np.abs(b) < tol
+        with np.errstate(over="ignore"):
+            first = (-x) ** q / _FACTORIALS[:n_q, None]
+        finite = np.isfinite(first)
+        b = _alt_series(np.where(finite, first, 0.0), x * y, q, tol)
+        quiet = (np.abs(b) < tol) & finite
         run = quiet[:-2] & quiet[1:-1] & quiet[2:]
-        if run.any(axis=0).all():
+        settled = run.any(axis=0)
+        if settled.all():
             break
         if n_q > _MAX_ORDER:
-            raise ArithmeticError(f"order sum did not settle by order {_MAX_ORDER}")
+            i = settled.argmin()
+            cause = ("" if finite[:, i].all()
+                     else f"; (-x)^q/q! overflows from q = {finite[:, i].argmin()}")
+            raise ArithmeticError(f"order sum at x = {x[i]:.6g} did not settle by order "
+                                  f"{_MAX_ORDER}{cause}")
         n_q = min(2 * n_q, _MAX_ORDER + 1)
     stop = run.argmax(axis=0) + 2
-    weight = np.cumprod(np.r_[1.0, np.full(n_q - 1, phase_bar)])[:, None]
+    weight = np.full((n_q, 1), phase_bar)
+    weight[0] = 1.0
+    np.multiply.accumulate(weight, out=weight)
     return np.where(q <= stop, b * weight, 0.0).sum(axis=0)
 
 
 def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray]:
     """x and y as broadcast float arrays; ValueError unless inside(x, y) holds everywhere."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = np.broadcast(x, y).shape
+    x, y = _filled(x, shape, float), _filled(y, shape, float)
     bad = ~inside(x, y)
     if bad.any():
         i = bad.argmax()
@@ -212,6 +267,10 @@ def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     """Kernel of (limit operator - identity) on [a, b)^2; zero on the diagonal."""
     x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < iv.b) & (iv.a <= v) & (v < iv.b),
                    f"the square of {iv}")
+    if x.ndim == 0:
+        if x == y:
+            return 0j
+        return (kernel_causal if x < y else kernel_anticausal)(x, y, iv, nu, tol)
     out = np.zeros(x.shape, dtype=complex)
     for branch, mask in ((kernel_causal, x < y), (kernel_anticausal, y < x)):
         if mask.any():

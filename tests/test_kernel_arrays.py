@@ -9,6 +9,7 @@ decide digits that the comparison sees.
 """
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,46 @@ def test_quadrature_residuals_match_scalar_panels():
         for beta, z in ((0.5, 0.4), (2.0, 1.6), (1.0, 1.0)):
             assert _close(sonine_gegenbauer_residual(beta, z, 32, tol),
                           sonine_gegenbauer_residual_slow(beta, z, 32, tol))
+
+
+def test_series_chunks_match_the_scalar_loop_exactly():
+    # 5000 elements make the core run one term per chunk until fewer than
+    # 4096 are left; each element must still get the scalar loop's sum bit for bit
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0, 1e-300], 2000.0 * rng.random(4998)])
+    j = rng.integers(0, 4, t.size)
+    for tol in TOLS:
+        fast = kernel._alt_series(1.0 / np.array([math.factorial(i) for i in j]), t, j, tol)
+        slow = [bessel_profile_slow(int(i), float(u), tol) for i, u in zip(j, t)]
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast[::97], [kernel.bessel_profile(int(i), float(u), tol)
+                                           for i, u in zip(j[::97], t[::97])])
+
+
+def test_single_points_go_through_bessel_series(monkeypatch):
+    calls = []
+    public = kernel.bessel_series
+
+    def spy(j, x, y, tol=kernel.DEFAULT_TOL):
+        calls.append(j)
+        return public(j, x, y, tol)
+
+    monkeypatch.setattr(kernel, "bessel_series", spy)
+    assert limit_kernel(0.2, 0.7, IV, NU) == kernel_causal(0.2, 0.7, IV, NU)
+    assert limit_kernel(0.7, 0.2, IV, NU) == kernel_anticausal(0.7, 0.2, IV, NU)
+    assert calls == [0, 1, 0, 1, 0, 0]
+    limit_kernel(np.array([0.2, 0.7]), np.array([0.7, 0.2]), IV, NU)
+    assert len(calls) == 6
+
+
+def test_overflowing_orders_raise_without_numpy_warnings():
+    # (y-x)|nu| = 70: (-x)^q / q! overflows from q = 168, before the order sum
+    # settles; the three overflowing orders must not pass for three quiet ones
+    iv, nu = Interval(0.0, 1.0), ComplexParam(70.0 * 1.2, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="overflows from q = 168"):
+            kernel_causal(0.0, 1.0 / 1.2, iv, nu)
 
 
 def test_order_sum_past_the_first_block(monkeypatch):
