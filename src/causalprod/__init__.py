@@ -1,7 +1,6 @@
 """Causal double products of rotations, their coefficient combinatorics, and the limit kernel."""
 
 from .combinatorics import (
-    CatalanTriple,
     DyckQuery,
     binomial,
     catalan_general,
@@ -10,7 +9,6 @@ from .combinatorics import (
     fibonacci,
 )
 from .coefficients import (
-    CoeffKey,
     SeriesPolynomial,
     anticausal_series,
     causal_series,
@@ -24,7 +22,6 @@ from .coefficients import (
 from .kernel import (
     ComplexParam,
     Interval,
-    KernelField,
     bessel_profile,
     bessel_series,
     isometry_residual,
@@ -43,11 +40,9 @@ from .lattice import (
     enumerate_linear_extensions,
     enumerate_paths,
     essential_order,
-    upper_vertex_count,
 )
 from .product import (
     ConvergenceStudy,
-    DenseUnitary,
     PairOrdering,
     PiecewisePolynomial,
     bilinear_form,
@@ -57,7 +52,6 @@ from .product import (
     kernel_estimate,
     limit_bilinear_form,
     linearized_product,
-    rotation_factor,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 All artifacts are deterministic functions of the flags: CSV with LF line
 endings, JSON with sorted keys and a top-level ``"schema": 1`` field.  Complex
 values are always split into re/im columns.  Exit status is 0 iff every check
-of the invoked command passed at the configured tolerance.
+of the invoked command passed at the configured tolerance, 1 when a check
+failed or a value could not be computed (an ArithmeticError), and 2 when the
+configuration is refused or the artifact cannot be written.
 """
 from __future__ import annotations
 
@@ -23,7 +25,9 @@ from .config import COEFF_TABLE_CAP, CONVERGE_DIM_CAP, VERIFY_IDENTITY_CAP, RunC
 SCHEMA_VERSION = 1
 
 
-def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict) -> None:
+def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict,
+          status: int) -> int:
+    """Write the artifact; return status, or 2 when --out cannot be opened."""
     if cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -34,11 +38,16 @@ def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict)
     else:
         payload = {"schema": SCHEMA_VERSION, **extra, "rows": rows}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
+    if not cfg.out:
+        sys.stdout.write(text)
+        return status
+    try:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write artifact: {exc}\n")
+        return 2
+    return status
 
 
 def cmd_coeffs(cfg: RunConfig) -> int:
@@ -49,25 +58,23 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     rows = []
     all_match = True
     for s in range(1, cfg.s_max + 1):
-        for m in range(s):
-            for n in range(s - m):
-                p = s - 1 - m - n
-                for q in range(0, s + 1):
-                    dc = coeff.forward_count_closed(m, n, p, q)
-                    db = coeff.forward_count_brute(m, n, p, q)
-                    ec = coeff.reversed_count_closed(m, n, p, q)
-                    eb = coeff.reversed_count_brute(m, n, p, q)
-                    if max(abs(dc), abs(db), abs(ec), abs(eb)) == 0:
-                        continue
-                    match = dc == db and ec == eb
-                    all_match = all_match and match
-                    rows.append({"m": m, "n": n, "p": p, "q": q,
-                                 "D_closed": dc, "D_brute": db,
-                                 "E_closed": ec, "E_brute": eb,
-                                 "match": int(match)})
-    _emit(cfg, ["m", "n", "p", "q", "D_closed", "D_brute", "E_closed", "E_brute", "match"],
-          rows, {"s_max": cfg.s_max, "all_match": all_match})
-    return 0 if all_match else 1
+        for m, n, p in coeff.degree_terms(s):
+            for q in range(0, s + 1):
+                dc = coeff.forward_count_closed(m, n, p, q)
+                db = coeff.forward_count_brute(m, n, p, q)
+                ec = coeff.reversed_count_closed(m, n, p, q)
+                eb = coeff.reversed_count_brute(m, n, p, q)
+                if max(abs(dc), abs(db), abs(ec), abs(eb)) == 0:
+                    continue
+                match = dc == db and ec == eb
+                all_match = all_match and match
+                rows.append({"m": m, "n": n, "p": p, "q": q,
+                             "D_closed": dc, "D_brute": db,
+                             "E_closed": ec, "E_brute": eb,
+                             "match": int(match)})
+    headers = ["m", "n", "p", "q", "D_closed", "D_brute", "E_closed", "E_brute", "match"]
+    return _emit(cfg, headers, rows, {"s_max": cfg.s_max, "all_match": all_match},
+                 0 if all_match else 1)
 
 
 def _verify_pairs(iv: ker.Interval) -> list[tuple[float, float]]:
@@ -128,10 +135,10 @@ def cmd_verify(cfg: RunConfig,
     rows = [{"name": c["name"], "params": c["params"], "residual": c["residual"],
              "tolerance": c["tolerance"], "pass": int(c["pass"])} for c in checks]
     ok = all(c["pass"] for c in checks)
-    _emit(cfg, ["name", "params", "residual", "tolerance", "pass"], rows,
-          {"config": {"a": cfg.a, "b": cfg.b, "lambda": cfg.lam, "mu": cfg.mu,
-                      "tol": cfg.tol, "s_max": cfg.s_max}, "all_pass": ok})
-    return 0 if ok else 1
+    return _emit(cfg, ["name", "params", "residual", "tolerance", "pass"], rows,
+                 {"config": {"a": cfg.a, "b": cfg.b, "lambda": cfg.lam, "mu": cfg.mu,
+                             "tol": cfg.tol, "s_max": cfg.s_max}, "all_pass": ok},
+                 0 if ok else 1)
 
 
 def cmd_converge(cfg: RunConfig) -> int:
@@ -143,19 +150,15 @@ def cmd_converge(cfg: RunConfig) -> int:
     if max(ns) > CONVERGE_DIM_CAP:
         sys.stderr.write(f"refusing: max n is capped at {CONVERGE_DIM_CAP}\n")
         return 2
-    try:
-        study = prod.convergence_study(ns, prod.sample_points(cfg.interval),
-                                       cfg.interval, cfg.param)
-    except ArithmeticError as exc:
-        sys.stderr.write(f"check failed: {exc}\n")
-        return 1
+    study = prod.convergence_study(ns, prod.sample_points(cfg.interval),
+                                   cfg.interval, cfg.param)
     rows = [{"n": n, "max_error": err, "fitted_rate": study.fitted_rate}
             for n, err in zip(study.ns, study.max_errors)]
     ok = all(e1 >= e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
     ok = ok and all(e <= b for e, b in zip(study.max_errors, study.bounds))
-    _emit(cfg, ["n", "max_error", "fitted_rate"], rows,
-          {"bounds": list(study.bounds), "fitted_rate": study.fitted_rate, "all_pass": ok})
-    return 0 if ok else 1
+    return _emit(cfg, ["n", "max_error", "fitted_rate"], rows,
+                 {"bounds": list(study.bounds), "fitted_rate": study.fitted_rate,
+                  "all_pass": ok}, 0 if ok else 1)
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
@@ -179,8 +182,8 @@ def cmd_kernel(cfg: RunConfig) -> int:
     headers = ["x", "y", "re", "im"]
     if cfg.s_max >= 1:
         headers += ["series_re", "series_im", "abs_diff"]
-    _emit(cfg, headers, rows, {"n": cfg.n, "s_max": cfg.s_max, "max_series_diff": worst})
-    return 0
+    extra = {"n": cfg.n, "s_max": cfg.s_max, "max_series_diff": worst}
+    return _emit(cfg, headers, rows, extra, 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,7 +238,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     dispatch = {"coeffs": cmd_coeffs, "verify": cmd_verify,
                 "converge": cmd_converge, "kernel": cmd_kernel}
-    return dispatch[args.command](cfg)
+    try:
+        return dispatch[args.command](cfg)
+    except ArithmeticError as exc:  # a series or estimate that cannot be computed
+        sys.stderr.write(f"check failed: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,32 +14,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .combinatorics import binomial
+from .config import COEFF_TABLE_CAP
 from .lattice import enumerate_linear_extensions, enumerate_paths, essential_order
 
-MAX_BRUTE_WEIGHT = 8
 
-
-@dataclass(frozen=True)
-class CoeffKey:
-    """Table index (m, n, p; q) with 0 <= q <= m + n + p + 1."""
-
-    m: int
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if min(self.m, self.n, self.p) < 0:
-            raise ValueError(f"m, n, p must be >= 0 in {self}")
-        if not 0 <= self.q <= self.m + self.n + self.p + 1:
-            raise ValueError(f"q out of range in {self}")
-
-    @property
-    def degree(self) -> int:
-        return self.m + self.n + self.p + 1
+def degree_terms(s: int) -> Iterator[tuple[int, int, int]]:
+    """Every (m, n, p) >= 0 of degree m + n + p + 1 = s, by increasing m, then n."""
+    for m in range(s):
+        for n in range(s - m):
+            yield m, n, s - 1 - m - n
 
 
 def forward_count_closed(m: int, n: int, p: int, q: int) -> int:
@@ -77,22 +63,23 @@ def _rank_census(s: int) -> Counter:
     return census
 
 
-def _check_brute_bounds(m: int, n: int, p: int, max_weight: int) -> None:
+def _check_brute_bounds(m: int, n: int, p: int) -> None:
     if min(m, n, p) < 0:
         raise ValueError(f"m, n, p must be >= 0, got {(m, n, p)}")
-    if m + n + p > max_weight:
-        raise ValueError(f"m+n+p={m + n + p} exceeds brute-force cap {max_weight}")
+    if m + n + p + 1 > COEFF_TABLE_CAP:
+        raise ValueError(f"degree m+n+p+1={m + n + p + 1} exceeds brute-force cap "
+                         f"{COEFF_TABLE_CAP}")
 
 
-def forward_count_brute(m: int, n: int, p: int, q: int, max_weight: int = MAX_BRUTE_WEIGHT) -> int:
+def forward_count_brute(m: int, n: int, p: int, q: int) -> int:
     """Count forward extensions of rank (m, p) over paths with q upper vertices."""
-    _check_brute_bounds(m, n, p, max_weight)
+    _check_brute_bounds(m, n, p)
     return _rank_census(m + n + p + 1)[(q, (m, p), True)]
 
 
-def reversed_count_brute(m: int, n: int, p: int, q: int, max_weight: int = MAX_BRUTE_WEIGHT) -> int:
+def reversed_count_brute(m: int, n: int, p: int, q: int) -> int:
     """Count reversed extensions of rank (m+n+1, n+p+1) over paths with q uppers."""
-    _check_brute_bounds(m, n, p, max_weight)
+    _check_brute_bounds(m, n, p)
     return _rank_census(m + n + p + 1)[(q, (m + n + 1, n + p + 1), False)]
 
 
@@ -132,13 +119,11 @@ def _series(s: int, count: Callable[[int, int, int, int], int], dagger: bool) ->
     if s < 1:
         raise ValueError(f"need degree s >= 1, got {s}")
     terms = []
-    for m in range(s):
-        for n in range(s - m):
-            p = s - 1 - m - n
-            for q in range(0, s + 1):
-                c = count(m, n, p, q)
-                if c != 0:
-                    terms.append((m, n, p, q, c))
+    for m, n, p in degree_terms(s):
+        for q in range(0, s + 1):
+            c = count(m, n, p, q)
+            if c != 0:
+                terms.append((m, n, p, q, c))
     return SeriesPolynomial(degree=s, dagger=dagger, terms=tuple(terms))
 
 
@@ -233,25 +218,19 @@ def unitarity_identity_residuals(
     beta: int,
     gamma: int,
     xi_max: int,
-    table_or_hook: CountTable | Callable[[int, int, int, int], int] | None = None,
+    table: CountTable | None = None,
 ) -> list[int]:
     """Residuals of the unitarity coefficient identity for xi = 0..xi_max.
 
-    ``table_or_hook`` is a :class:`CountTable` covering the triple (see
-    :meth:`CountTable.for_identity`), a pure count function to tabulate, or
-    None for the closed forms.  The five outer loops and their binomial
-    weights do not depend on xi, so they run once for all xi: each nonzero
-    left factor at t1 feeds every xi >= t1.
+    ``table`` is a :class:`CountTable` covering the triple (see
+    :meth:`CountTable.for_identity`), or None for the closed forms.  The five
+    outer loops and their binomial weights do not depend on xi, so they run
+    once for all xi: each nonzero left factor at t1 feeds every xi >= t1.
     """
     if min(alpha, beta, gamma) < 0 or xi_max < 0:
         raise ValueError("indices must be >= 0")
-    w = alpha + beta + gamma
-    if isinstance(table_or_hook, CountTable):
-        table = table_or_hook
-    elif table_or_hook is None:
-        table = _closed_table(w, xi_max)
-    else:
-        table = CountTable.for_identity(w, xi_max, table_or_hook)
+    if table is None:
+        table = _closed_table(alpha + beta + gamma, xi_max)
     X = xi_max
     out = [0] * (X + 1)
     comb = math.comb
@@ -321,4 +300,6 @@ def unitarity_identity_residual(
     """
     if xi < 0:
         raise ValueError("indices must be >= 0")
-    return unitarity_identity_residuals(alpha, beta, gamma, xi, forward_count)[xi]
+    table = (None if forward_count is None
+             else CountTable.for_identity(alpha + beta + gamma, xi, forward_count))
+    return unitarity_identity_residuals(alpha, beta, gamma, xi, table)[xi]

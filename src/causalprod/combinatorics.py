@@ -70,18 +70,6 @@ def fibonacci(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CatalanTriple:
-    """Index triple (m, n, p) of a generalized Catalan number."""
-
-    m: int
-    n: int
-    p: int
-
-    def value(self) -> int:
-        return catalan_general(self.m, self.n, self.p)
-
-
-@dataclass(frozen=True)
 class DyckQuery:
     """Walk census: start height, up-steps, down-steps, floor at -p."""
 

@@ -49,12 +49,6 @@ class ComplexParam:
     def modulus(self) -> float:
         return math.hypot(self.lam, self.mu)
 
-    @property
-    def phase(self) -> float:
-        if self.modulus == 0.0:
-            raise ValueError("phase undefined for nu = 0")
-        return math.atan2(self.mu, self.lam)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -276,18 +270,6 @@ def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
         if mask.any():
             out[mask] = branch(x[mask], y[mask], iv, nu, tol)
     return _result(out)
-
-
-@dataclass(frozen=True)
-class KernelField:
-    """Callable kernel of (limit operator - identity) for fixed interval and parameter."""
-
-    interval: Interval
-    param: ComplexParam
-    tol: float = DEFAULT_TOL
-
-    def __call__(self, x: float, y: float) -> complex:
-        return limit_kernel(x, y, self.interval, self.param, self.tol)
 
 
 @lru_cache(maxsize=None)

@@ -49,6 +49,7 @@ class LatticePath:
 
     @property
     def upper_count(self) -> int:
+        """Number of upper vertices; at least (s - 1) / 2 since lower vertices never touch."""
         return sum(self.bits)
 
     def inverted(self) -> "LatticePath":
@@ -70,10 +71,6 @@ class EssentialOrder:
     less: frozenset[tuple[Label, Label]]
     first: Label
     last: Label
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
     def predecessors(self) -> dict[Label, set[Label]]:
         preds: dict[Label, set[Label]] = {lab: set() for lab in self.labels}
@@ -102,23 +99,18 @@ class DegenerateOrdering:
         return sum(1 for level in self.levels if len(level) == 2)
 
 
-def enumerate_paths(s: int, max_vertices: int = MAX_PATH_VERTICES) -> list[LatticePath]:
+def enumerate_paths(s: int) -> list[LatticePath]:
     """All paths with s vertices, lexicographically ordered; count is Fib(s+2)."""
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    if s > max_vertices:
-        raise ValueError(f"s={s} exceeds enumeration cap {max_vertices}")
+    if s > MAX_PATH_VERTICES:
+        raise ValueError(f"s={s} exceeds enumeration cap {MAX_PATH_VERTICES}")
     words: list[tuple[int, ...]] = [(0,), (1,)]
     for _ in range(s - 1):
         words = [w + (b,) for w in words for b in (0, 1) if not (w[-1] == 0 and b == 0)]
     paths = [LatticePath(w) for w in sorted(words)]
     assert len(paths) == fibonacci(s + 2)
     return paths
-
-
-def upper_vertex_count(path: LatticePath) -> int:
-    """Number of upper vertices; at least (s - 1) / 2 since lower vertices never touch."""
-    return path.upper_count
 
 
 def essential_order(path: LatticePath) -> EssentialOrder:

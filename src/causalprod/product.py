@@ -84,79 +84,48 @@ class PairOrdering:
         return True
 
 
-@dataclass
-class DenseUnitary:
-    """Dense N x N unitary carrying its interval and generator parameter."""
+def _sweep(n: int, ordering: PairOrdering | None, diag: float, up: complex,
+           lo: complex) -> np.ndarray:
+    """Ordered product of the factors [[diag, up], [lo, diag]] on each pair (j, k).
 
-    matrix: np.ndarray
-    interval: Interval
-    param: ComplexParam
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
-
-
-def rotation_factor(n: int, j: int, k: int, iv: Interval, nu: ComplexParam) -> DenseUnitary:
-    """The plane rotation acting on coordinates j < k.
-
-    Diagonal cos((b-a)|nu|/n) on rows j and k, -conj(nu)/|nu| * sin at (j, k)
-    and +nu/|nu| * sin at (k, j); identity elsewhere.
-    """
-    if not 1 <= j < k <= n:
-        raise ValueError(f"need 1 <= j < k <= n, got j={j}, k={k}, n={n}")
-    if nu.modulus == 0.0:
-        raise ValueError("rotation factor undefined for nu = 0")
-    theta = iv.width * nu.modulus / n
-    c, s = math.cos(theta), math.sin(theta)
-    phase = nu.value / nu.modulus
-    m = np.eye(n, dtype=complex)
-    m[j - 1, j - 1] = c
-    m[k - 1, k - 1] = c
-    m[j - 1, k - 1] = -phase.conjugate() * s
-    m[k - 1, j - 1] = phase * s
-    return DenseUnitary(matrix=m, interval=iv, param=nu)
-
-
-def _resolve_ordering(n: int, ordering: PairOrdering | None) -> PairOrdering:
-    if ordering is None:
-        return PairOrdering.row_major(n)
-    if ordering.n != n:
-        raise ValueError(f"ordering built for n={ordering.n}, product needs n={n}")
-    if not ordering.is_allowed():
-        raise ValueError("pair ordering is not allowed")
-    return ordering
-
-
-def double_product(n: int, iv: Interval, nu: ComplexParam,
-                   ordering: PairOrdering | None = None) -> DenseUnitary:
-    """Ordered product of all rotation factors, identical for every allowed ordering.
-
-    Each factor is applied as a two-column update of the accumulated matrix
-    (O(n) per factor), never as a dense multiply.
+    The ordering is checked first (row-major when None).  Each factor is
+    applied as a two-column update of the accumulated matrix (O(n) per
+    factor), never as a dense multiply.  With up = lo = 0 (nu = 0) every
+    factor is the identity and the loop is skipped.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_PRODUCT_DIM:
         raise ValueError(f"n={n} exceeds cap {MAX_PRODUCT_DIM}")
+    if ordering is None:
+        ordering = PairOrdering.row_major(n)
+    elif ordering.n != n:
+        raise ValueError(f"ordering built for n={ordering.n}, product needs n={n}")
+    elif not ordering.is_allowed():
+        raise ValueError("pair ordering is not allowed")
     m = np.eye(n, dtype=complex)
-    if nu.modulus == 0.0:
-        return DenseUnitary(matrix=m, interval=iv, param=nu)
-    resolved = _resolve_ordering(n, ordering)
-    theta = iv.width * nu.modulus / n
-    c, s = math.cos(theta), math.sin(theta)
-    phase = nu.value / nu.modulus
-    up, lo = -phase.conjugate() * s, phase * s
-    for j, k in resolved.pairs:
+    if up == 0 and lo == 0:
+        return m
+    for j, k in ordering.pairs:
         cj = m[:, j - 1].copy()
         ck = m[:, k - 1]
-        m[:, j - 1] = c * cj + lo * ck
-        m[:, k - 1] = up * cj + c * ck
-    return DenseUnitary(matrix=m, interval=iv, param=nu)
+        m[:, j - 1] = diag * cj + lo * ck
+        m[:, k - 1] = up * cj + diag * ck
+    return m
+
+
+def double_product(n: int, iv: Interval, nu: ComplexParam,
+                   ordering: PairOrdering | None = None) -> np.ndarray:
+    """Ordered product of all rotation factors, identical for every allowed ordering.
+
+    The factor on (j, k) is cos((b-a)|nu|/n) on rows j and k, -conj(nu)/|nu|
+    * sin at (j, k) and +nu/|nu| * sin at (k, j), identity elsewhere; for
+    n = 2 the product is that single factor.
+    """
+    theta = iv.width * nu.modulus / max(n, 1)  # the sweep refuses n < 2
+    s = math.sin(theta)
+    phase = nu.value / nu.modulus if nu.modulus else 0j
+    return _sweep(n, ordering, math.cos(theta), -phase.conjugate() * s, phase * s)
 
 
 # Largest |c|^-t the blocked scan of product_columns may form.  The scan's
@@ -167,7 +136,7 @@ _SCAN_GROWTH = 1e8
 def product_columns(n: int, iv: Interval, nu: ComplexParam, cols: Sequence[int]) -> np.ndarray:
     """Columns ``cols`` (0-based) of the product, as an n x len(cols) block.
 
-    Same value as ``double_product(n, iv, nu).matrix[:, cols]`` in O(n^2 len(cols))
+    Same value as ``double_product(n, iv, nu)[:, cols]`` in O(n^2 len(cols))
     work, without forming an n x n array.  The row-major factors are applied
     right to left to the unit columns, as row updates.  Sweep j touches row j
     and rows k = n, n-1, ..., j+1 once each: the row-j accumulator obeys the
@@ -220,21 +189,8 @@ def linearized_product(n: int, iv: Interval, nu: ComplexParam,
     Z(j, k) has -conj(nu) at (j, k) and +nu at (k, j).  Differs from the full
     rotation product by O(1/n) in max norm.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n > MAX_PRODUCT_DIM:
-        raise ValueError(f"n={n} exceeds cap {MAX_PRODUCT_DIM}")
-    m = np.eye(n, dtype=complex)
-    if nu.modulus == 0.0:
-        return m
-    resolved = _resolve_ordering(n, ordering)
-    step = iv.width / n
-    up, lo = -nu.value.conjugate() * step, nu.value * step
-    for j, k in resolved.pairs:
-        cj = m[:, j - 1].copy()
-        m[:, j - 1] += lo * m[:, k - 1]
-        m[:, k - 1] += up * cj
-    return m
+    step = iv.width / max(n, 1)  # the sweep refuses n < 2
+    return _sweep(n, ordering, 1.0, -nu.value.conjugate() * step, nu.value * step)
 
 
 def chain_count_matrix(n: int, s: int, r: int, r_prime: int, iv: Interval) -> np.ndarray:
@@ -277,23 +233,26 @@ def midpoints(n: int, iv: Interval) -> np.ndarray:
     return iv.a + (np.arange(1, n + 1) - 0.5) * (iv.width / n)
 
 
-def kernel_estimate(w: DenseUnitary) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint grid and entrywise kernel estimate (W - I) * n / (b - a)."""
-    n = w.dim
-    est = (w.matrix - np.eye(n)) * (n / w.interval.width)
-    return midpoints(n, w.interval), est
+def kernel_estimate(w: np.ndarray, iv: Interval) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint grid and entrywise kernel estimate (W - I) * n / (b - a) of the product W on iv."""
+    n = w.shape[0]
+    est = (w - np.eye(n)) * (n / iv.width)
+    return midpoints(n, iv), est
 
 
-def sample_points(iv: Interval, per_side: int = 8, margin: float = 0.12,
-                  min_gap: float = 0.08) -> tuple[tuple[float, float], ...]:
-    """Deterministic interior sample grid keeping clear of the boundary and diagonal."""
+def sample_points(iv: Interval) -> tuple[tuple[float, float], ...]:
+    """Deterministic interior sample grid keeping clear of the boundary and diagonal.
+
+    An 8 x 8 grid from 12% of the width inside each end, without the pairs
+    closer than 8% of the width to the diagonal.
+    """
     w = iv.width
-    xs = np.linspace(iv.a + margin * w, iv.b - margin * w, per_side)
+    xs = np.linspace(iv.a + 0.12 * w, iv.b - 0.12 * w, 8)
     return tuple(
         (float(x), float(y))
         for x in xs
         for y in xs
-        if abs(x - y) >= min_gap * w
+        if abs(x - y) >= 0.08 * w
     )
 
 
@@ -334,22 +293,21 @@ def indicator_components(fn: PiecewisePolynomial, n: int, iv: Interval) -> np.nd
     ])
 
 
-def bilinear_form(w: DenseUnitary, left: PiecewisePolynomial,
+def bilinear_form(w: np.ndarray, iv: Interval, left: PiecewisePolynomial,
                   right: PiecewisePolynomial) -> complex:
-    """<left, (W - I) right> computed exactly in the indicator basis.
+    """<left, (W - I) right> for the product W on iv, computed exactly in the indicator basis.
 
     W - I kills the orthogonal complement of the cell indicators and maps
     their span to itself, so the exact function components suffice.
     """
-    n = w.dim
-    vl = indicator_components(left, n, w.interval)
-    vr = indicator_components(right, n, w.interval)
-    return complex(vl @ ((w.matrix - np.eye(n)) @ vr))
+    n = w.shape[0]
+    vl = indicator_components(left, n, iv)
+    vr = indicator_components(right, n, iv)
+    return complex(vl @ ((w - np.eye(n)) @ vr))
 
 
 def limit_bilinear_form(left: PiecewisePolynomial, right: PiecewisePolynomial,
-                        iv: Interval, nu: ComplexParam, quad_n: int = 48,
-                        tol: float = 1e-12) -> complex:
+                        iv: Interval, nu: ComplexParam, quad_n: int = 48) -> complex:
     """<left, K right> for the limit kernel K, by nested Gauss-Legendre.
 
     The inner integral is split at the diagonal, where the kernel switches
@@ -364,11 +322,11 @@ def limit_bilinear_form(left: PiecewisePolynomial, right: PiecewisePolynomial,
         lo, hi = right.lo, right.hi
         if x > lo:
             total += gauss_legendre(
-                lambda y: kernel_anticausal(x, y, iv, nu, tol) * right(y),
+                lambda y: kernel_anticausal(x, y, iv, nu) * right(y),
                 lo, min(x, hi), quad_n)
         if x < hi:
             total += gauss_legendre(
-                lambda y: kernel_causal(x, y, iv, nu, tol) * right(y),
+                lambda y: kernel_causal(x, y, iv, nu) * right(y),
                 max(x, lo), hi, quad_n)
         return total
 
@@ -407,7 +365,7 @@ class ConvergenceStudy:
 
 
 def convergence_study(ns: Sequence[int], samples: Iterable[tuple[float, float]],
-                      iv: Interval, nu: ComplexParam, tol: float = 1e-12) -> ConvergenceStudy:
+                      iv: Interval, nu: ComplexParam) -> ConvergenceStudy:
     """Per-n max error between the product's kernel estimate and the limit kernel.
 
     Each sample point is mapped to its containing cell pair; the comparison
@@ -438,7 +396,7 @@ def convergence_study(ns: Sequence[int], samples: Iterable[tuple[float, float]],
         # off the diagonal, (W - I)[j, k] = W[j, k]
         est = w[js, [where[k] for k in ks]] * (n / iv.width)
         mids = midpoints(n, iv)
-        exact = limit_kernel(mids[js], mids[ks], iv, nu, tol)
+        exact = limit_kernel(mids[js], mids[ks], iv, nu)
         err = np.abs(est - exact)
         if not np.isfinite(err).all():
             i = int(np.isfinite(err).argmin())

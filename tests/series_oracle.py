@@ -26,6 +26,8 @@ Mono = tuple[int, int, int]
 
 
 def _forward_terms(s_top: int) -> list[tuple[int, int, int, int, int, int]]:
+    # writes its own degree loop instead of coefficients.degree_terms, so the
+    # oracle does not share an enumeration with the series it checks
     out = []
     for s in range(1, s_top + 1):
         for m in range(s):

@@ -180,6 +180,26 @@ def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--lambda", "1000", "--n", "3", "--s-max", "0"],
+    ["verify", "--lambda", "1000", "--s-max", "2"],
+])
+def test_unsettled_series_fails_in_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "a.json"
+    assert _run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unwritable_out_refused_in_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert _run(["coeffs", "--s-max", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifact:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_kernel_grid(tmp_path):
     out = tmp_path / "grid.json"
     assert _run(["kernel", "--n", "7", "--s-max", "20", "--out", str(out)]) == 0

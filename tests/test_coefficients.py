@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprod.coefficients import (
-    CoeffKey,
     CountTable,
     anticausal_series,
     causal_series,
@@ -105,16 +104,9 @@ def test_brute_bounds():
     with pytest.raises(ValueError):
         forward_count_brute(4, 4, 4, 6)
     with pytest.raises(ValueError):
+        reversed_count_brute(0, 8, 0, 4)  # degree 9, past COEFF_TABLE_CAP
+    with pytest.raises(ValueError):
         reversed_count_brute(-1, 0, 0, 0)
-
-
-def test_coeff_key_validation():
-    key = CoeffKey(1, 2, 1, 2)
-    assert key.degree == 5
-    with pytest.raises(ValueError):
-        CoeffKey(-1, 0, 0, 0)
-    with pytest.raises(ValueError):
-        CoeffKey(0, 0, 0, 2)
 
 
 def test_series_slices_match_frozen_tables():

@@ -9,7 +9,6 @@ from causalprod.coefficients import truncated_kernel
 from causalprod.kernel import (
     ComplexParam,
     Interval,
-    KernelField,
     bessel_profile,
     bessel_series,
     gauss_legendre,
@@ -36,9 +35,6 @@ def _series_oracle_b0_11(terms=50):
 def test_param_and_interval_types():
     assert NU.value == 1 + 0.5j
     assert NU.modulus == pytest.approx(math.sqrt(1.25))
-    assert ComplexParam(0.0, 2.0).phase == pytest.approx(math.pi / 2)
-    with pytest.raises(ValueError):
-        _ = ComplexParam(0.0, 0.0).phase
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
     assert Interval(-1.0, 3.0).width == 4.0
@@ -147,11 +143,6 @@ def test_kernel_real_parameter_specialization():
         assert limit_kernel(x, y, IV, nu) == pytest.approx(display(x, y), abs=1e-12)
         assert limit_kernel(y, x, IV, nu) == pytest.approx(
             lam * bessel_series(0, x * lam, (1 - y) * lam), abs=1e-12)
-
-
-def test_kernel_field_callable():
-    field = KernelField(IV, NU)
-    assert field(0.2, 0.6) == limit_kernel(0.2, 0.6, IV, NU)
 
 
 def test_truncated_series_matches_closed_kernel():

@@ -17,54 +17,34 @@ from causalprod.product import (
     linearized_product,
     midpoints,
     product_columns,
-    rotation_factor,
     sample_points,
 )
+from unitarity import unitarity_defect
 
 IV = Interval(0.0, 1.0)
 NU = ComplexParam(1.0, 0.5)
 
 
+# for n = 2 the product is the single rotation factor on the pair (1, 2)
 def test_rotation_factor_two_by_two_real():
-    u = rotation_factor(2, 1, 2, IV, ComplexParam(1.0, 0.0))
+    u = double_product(2, IV, ComplexParam(1.0, 0.0))
     theta = 0.5  # (b - a) |nu| / n
     expected = np.array([[math.cos(theta), -math.sin(theta)],
                          [math.sin(theta), math.cos(theta)]])
-    assert np.allclose(u.matrix, expected, atol=1e-15)
+    assert np.allclose(u, expected, atol=1e-15)
 
 
 def test_rotation_factor_imaginary_parameter():
-    u = rotation_factor(2, 1, 2, IV, ComplexParam(0.0, 1.0))
+    u = double_product(2, IV, ComplexParam(0.0, 1.0))
     theta = 0.5
-    assert u.matrix[0, 1] == pytest.approx(1j * math.sin(theta), abs=1e-15)
-    assert u.matrix[1, 0] == pytest.approx(1j * math.sin(theta), abs=1e-15)
-    assert u.matrix[0, 0] == pytest.approx(math.cos(theta), abs=1e-15)
+    assert u[0, 1] == pytest.approx(1j * math.sin(theta), abs=1e-15)
+    assert u[1, 0] == pytest.approx(1j * math.sin(theta), abs=1e-15)
+    assert u[0, 0] == pytest.approx(math.cos(theta), abs=1e-15)
 
 
 def test_rotation_factor_unitary():
-    for n, j, k in [(4, 1, 3), (6, 2, 6), (9, 4, 5)]:
-        assert rotation_factor(n, j, k, IV, NU).unitarity_defect() < 1e-15
-
-
-def test_rotation_factor_validation():
-    with pytest.raises(ValueError):
-        rotation_factor(4, 3, 3, IV, NU)
-    with pytest.raises(ValueError):
-        rotation_factor(4, 0, 2, IV, NU)
-    with pytest.raises(ValueError):
-        rotation_factor(4, 1, 5, IV, NU)
-    with pytest.raises(ValueError):
-        rotation_factor(4, 1, 2, IV, ComplexParam(0.0, 0.0))
-
-
-def test_factor_commutation():
-    """Disjoint index pairs commute exactly; overlapping pairs do not."""
-    a = rotation_factor(5, 1, 4, IV, NU).matrix
-    b = rotation_factor(5, 2, 3, IV, NU).matrix
-    assert np.array_equal(a @ b, b @ a)
-    c = rotation_factor(5, 1, 2, IV, NU).matrix
-    d = rotation_factor(5, 2, 3, IV, NU).matrix
-    assert np.max(np.abs(c @ d - d @ c)) > 1e-3
+    for nu in (NU, ComplexParam(-2.0, 3.0), ComplexParam(0.0, -1.3)):
+        assert unitarity_defect(double_product(2, IV, nu)) < 1e-15
 
 
 def test_pair_orderings_allowed():
@@ -85,7 +65,11 @@ def test_random_allowed_deterministic():
 
 def test_double_product_single_factor():
     w = double_product(2, IV, NU)
-    assert np.allclose(w.matrix, rotation_factor(2, 1, 2, IV, NU).matrix, atol=1e-16)
+    theta = 0.5 * NU.modulus
+    phase = NU.value / NU.modulus
+    expected = np.array([[math.cos(theta), -phase.conjugate() * math.sin(theta)],
+                         [phase * math.sin(theta), math.cos(theta)]])
+    assert np.allclose(w, expected, atol=1e-16)
 
 
 def test_double_product_ordering_independence():
@@ -93,8 +77,8 @@ def test_double_product_ordering_independence():
         w_row = double_product(n, IV, NU, PairOrdering.row_major(n))
         w_col = double_product(n, IV, NU, PairOrdering.column_major(n))
         w_rnd = double_product(n, IV, NU, PairOrdering.random_allowed(n, seed=11))
-        assert np.max(np.abs(w_row.matrix - w_col.matrix)) < 1e-14
-        assert np.max(np.abs(w_row.matrix - w_rnd.matrix)) < 1e-14
+        assert np.max(np.abs(w_row - w_col)) < 1e-14
+        assert np.max(np.abs(w_row - w_rnd)) < 1e-14
 
 
 def test_double_product_rejects_bad_ordering():
@@ -107,20 +91,32 @@ def test_double_product_rejects_bad_ordering():
         double_product(600, IV, NU)
 
 
+@pytest.mark.parametrize("product", [double_product, linearized_product])
+def test_zero_parameter_product_checks_ordering(product):
+    zero = ComplexParam(0.0, 0.0)
+    assert np.array_equal(product(4, IV, zero), np.eye(4))
+    bad = PairOrdering(4, tuple(reversed(PairOrdering.row_major(4).pairs)))
+    for ordering in (bad, PairOrdering.row_major(5)):
+        with pytest.raises(ValueError):
+            product(4, IV, zero, ordering)
+    with pytest.raises(ValueError):
+        product(1, IV, zero)
+
+
 def test_double_product_unitary():
-    assert double_product(8, IV, NU).unitarity_defect() < 1e-13
+    assert unitarity_defect(double_product(8, IV, NU)) < 1e-13
 
 
 def test_double_product_real_orthogonal_for_real_parameter():
     w = double_product(10, IV, ComplexParam(0.7, 0.0))
-    assert np.max(np.abs(w.matrix.imag)) == 0.0
-    assert np.max(np.abs(w.matrix.T @ w.matrix - np.eye(10))) < 1e-14
+    assert np.max(np.abs(w.imag)) == 0.0
+    assert np.max(np.abs(w.T @ w - np.eye(10))) < 1e-14
 
 
 def test_double_product_conjugation_symmetry():
     w_plus = double_product(9, IV, ComplexParam(0.0, 1.0))
     w_minus = double_product(9, IV, ComplexParam(0.0, -1.0))
-    assert np.array_equal(np.conj(w_plus.matrix), w_minus.matrix)
+    assert np.array_equal(np.conj(w_plus), w_minus)
 
 
 def test_linearized_product_two_by_two():
@@ -135,8 +131,8 @@ def test_linearized_product_zero_parameter():
 
 
 def test_linearized_gap_is_first_order():
-    g50 = np.max(np.abs(linearized_product(50, IV, NU) - double_product(50, IV, NU).matrix))
-    g100 = np.max(np.abs(linearized_product(100, IV, NU) - double_product(100, IV, NU).matrix))
+    g50 = np.max(np.abs(linearized_product(50, IV, NU) - double_product(50, IV, NU)))
+    g100 = np.max(np.abs(linearized_product(100, IV, NU) - double_product(100, IV, NU)))
     assert 1.6 <= g50 / g100 <= 2.4
 
 
@@ -203,13 +199,13 @@ def test_chain_count_matrix_midpoint_convergence():
 
 def test_kernel_estimate_zero_parameter():
     w = double_product(10, IV, ComplexParam(0.0, 0.0))
-    _, est = kernel_estimate(w)
+    _, est = kernel_estimate(w, IV)
     assert np.array_equal(est, np.zeros((10, 10)))
 
 
 def test_kernel_estimate_both_regions():
     n = 100
-    mids, est = kernel_estimate(double_product(n, IV, NU))
+    mids, est = kernel_estimate(double_product(n, IV, NU), IV)
     worst_lower, worst_upper = 0.0, 0.0
     for j in range(10, n, 13):
         for k in range(5, n, 17):
@@ -264,7 +260,7 @@ def test_product_columns_match_dense_product(n):
     fast = product_columns(n, IV, NU, cols)
     assert fast.shape == (n, len(cols))
     for ordering in _orderings(n):
-        dense = double_product(n, IV, NU, ordering).matrix[:, cols]
+        dense = double_product(n, IV, NU, ordering)[:, cols]
         assert np.max(np.abs(fast - dense)) < 1e-13
 
 
@@ -278,7 +274,7 @@ def test_product_columns_coarse_angles(theta, n):
     cols = [0, 5, n // 3, n - 2, n - 1]
     fast = product_columns(n, IV, nu, cols)
     assert np.all(np.isfinite(fast))
-    dense = double_product(n, IV, nu).matrix[:, cols]
+    dense = double_product(n, IV, nu)[:, cols]
     assert np.max(np.abs(fast - dense)) < 1e-13
 
 
@@ -320,10 +316,10 @@ def test_bilinear_form_exact_components():
     left = PiecewisePolynomial(0.0, 0.2, (1.0,))
     right = PiecewisePolynomial(0.5, 0.7, (1.0,))
     expected = sum(
-        (w.matrix[j, k] - (1.0 if j == k else 0.0)) * (IV.width / n)
+        (w[j, k] - (1.0 if j == k else 0.0)) * (IV.width / n)
         for j in (0, 1) for k in (5, 6)
     )
-    assert bilinear_form(w, left, right) == pytest.approx(expected, abs=1e-15)
+    assert bilinear_form(w, IV, left, right) == pytest.approx(expected, abs=1e-15)
 
 
 def test_weak_convergence_of_bilinear_forms():
@@ -331,7 +327,7 @@ def test_weak_convergence_of_bilinear_forms():
     left = PiecewisePolynomial(0.1, 0.6, (1.0,))
     right = PiecewisePolynomial(0.3, 0.9, (0.5, 1.0))
     exact = limit_bilinear_form(left, right, IV, NU, quad_n=48)
-    gaps = [abs(bilinear_form(double_product(n, IV, NU), left, right) - exact)
+    gaps = [abs(bilinear_form(double_product(n, IV, NU), IV, left, right) - exact)
             for n in (25, 50, 100)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert 1.5 <= gaps[0] / gaps[1] <= 2.5
