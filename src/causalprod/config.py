@@ -8,6 +8,10 @@ from .kernel import ComplexParam, Interval
 
 COEFF_TABLE_CAP = 8
 SERIES_CAP = 40
+# MAX_PRODUCT_DIM caps the dense oracle (double_product, linearized_product:
+# O(N^3) time, N x N memory); CONVERGE_DIM_CAP caps every fast use of the
+# product (apply_product, hence converge and bilinear_form).
+MAX_PRODUCT_DIM = 512
 CONVERGE_DIM_CAP = 4096
 # verify's coefficient identity costs about s**8; s_max = 20 takes ~4 s
 VERIFY_IDENTITY_CAP = 20

@@ -172,8 +172,8 @@ def test_converge_invalid_input_refused(tmp_path, capsys, args):
 def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):
     from causalprod import product
 
-    monkeypatch.setattr(product, "product_columns",
-                        lambda n, iv, nu, cols: np.full((n, len(cols)), np.nan, dtype=complex))
+    monkeypatch.setattr(product, "apply_product",
+                        lambda n, iv, nu, block: np.full(block.shape, np.nan, dtype=complex))
     assert _run(["converge", "--n-list", "10,20", "--out", str(tmp_path / "s.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failed:") and err.count("\n") == 1

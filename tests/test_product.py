@@ -7,6 +7,7 @@ from causalprod.kernel import ComplexParam, Interval, limit_kernel
 from causalprod.product import (
     PairOrdering,
     PiecewisePolynomial,
+    apply_product,
     bilinear_form,
     chain_count_matrix,
     convergence_study,
@@ -16,9 +17,9 @@ from causalprod.product import (
     limit_bilinear_form,
     linearized_product,
     midpoints,
-    product_columns,
     sample_points,
 )
+from product_oracle import product_columns
 from unitarity import unitarity_defect
 
 IV = Interval(0.0, 1.0)
@@ -243,7 +244,7 @@ def test_convergence_study_rejects_sizes_below_two():
 
 
 def test_convergence_study_large_sizes():
-    study = convergence_study((256, 512, 1024, 2048), sample_points(IV), IV, NU)
+    study = convergence_study((256, 512, 1024, 2048, 4096), sample_points(IV), IV, NU)
     assert all(e1 > e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
     assert 0.9 <= study.fitted_rate <= 1.1
     assert all(err <= bound for err, bound in zip(study.max_errors, study.bounds))
@@ -254,6 +255,80 @@ def _orderings(n):
             PairOrdering.random_allowed(n, seed=7))
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+def test_apply_product_match_dense_product(n):
+    cols = sorted({0, 1, n // 2, n - 1})
+    fast = apply_product(n, IV, NU, np.eye(n)[:, cols])
+    assert fast.shape == (n, len(cols))
+    for ordering in _orderings(n):
+        dense = double_product(n, IV, NU, ordering)[:, cols]
+        assert np.max(np.abs(fast - dense)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 57, 128])
+def test_apply_product_random_block(n):
+    """A dense random complex block, not unit columns, and a single vector."""
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    w = double_product(n, IV, NU)
+    assert np.max(np.abs(apply_product(n, IV, NU, block) - w @ block)) < 1e-13
+    assert np.max(np.abs(apply_product(n, IV, NU, block[:, 0]) - w @ block[:, 0])) < 1e-13
+
+
+@pytest.mark.parametrize("theta, n", [(math.pi / 2, 200), (1.5, 200), (2.34, 200)])
+def test_apply_product_coarse_angles(theta, n):
+    """Rotation angles far from small, where powers of cos(theta) are extreme."""
+    nu = ComplexParam(0.0, theta * n / IV.width)
+    c = math.cos(IV.width * nu.modulus / n)
+    if theta == math.pi / 2:
+        assert abs(c) < 1e-15
+    cols = [0, 5, n // 3, n - 2, n - 1]
+    fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
+    assert np.all(np.isfinite(fast))
+    dense = double_product(n, IV, nu)[:, cols]
+    assert np.max(np.abs(fast - dense)) < 1e-13
+
+
+# at nu = 1 + 0.5i and n = 4096, forming the powers of cos(theta) by repeated
+# squaring put 1.1e-13 on the diagonal; the scan's own error there is 1.7e-14
+@pytest.mark.parametrize("nu", [ComplexParam(0.6, 0.8), ComplexParam(3.0, -4.0), NU])
+@pytest.mark.parametrize("n, cols", [(1024, [0, 511]), (4096, [0, 1, 2047, 4095])])
+def test_apply_product_matches_scan_beyond_dense_cap(n, cols, nu):
+    fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
+    assert np.max(np.abs(fast - product_columns(n, IV, nu, cols))) < 1e-13
+
+
+# at theta = pi/2 the scan's blocks shrink to single factors, ~25 us each in
+# Python: n = 1000 would take ~13 s there, so that angle runs just above the
+# dense cap instead
+@pytest.mark.parametrize("theta, n", [(math.pi / 2, 520), (1.5, 1000), (2.34, 1000)])
+def test_apply_product_matches_scan_at_coarse_angles(theta, n):
+    nu = ComplexParam(0.0, theta * n / IV.width)
+    cols = [0, 5, n // 3, n - 2, n - 1]
+    fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
+    assert np.max(np.abs(fast - product_columns(n, IV, nu, cols))) < 1e-13
+
+
+def test_apply_product_zero_parameter():
+    cols = [0, 3, 9]
+    assert np.array_equal(apply_product(10, IV, ComplexParam(0.0, 0.0), np.eye(10)[:, cols]),
+                          np.eye(10)[:, cols])
+
+
+def test_apply_product_validation():
+    with pytest.raises(ValueError):
+        apply_product(1, IV, NU, np.ones((1, 1)))
+    with pytest.raises(ValueError):
+        apply_product(5, IV, NU, np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        apply_product(5, IV, NU, np.ones((5, 2, 2)))
+    with pytest.raises(ValueError):
+        apply_product(4097, IV, NU, np.ones(4097))
+    assert apply_product(10, IV, NU, np.zeros((10, 0))).shape == (10, 0)
+
+
+# The per-sweep scan in product_oracle is the slow oracle for apply_product
+# beyond the dense cap; these tests keep it checked against the dense product.
 @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
 def test_product_columns_match_dense_product(n):
     cols = sorted({0, 1, n // 2, n - 1})
@@ -319,7 +394,7 @@ def test_bilinear_form_exact_components():
         (w[j, k] - (1.0 if j == k else 0.0)) * (IV.width / n)
         for j in (0, 1) for k in (5, 6)
     )
-    assert bilinear_form(w, IV, left, right) == pytest.approx(expected, abs=1e-15)
+    assert bilinear_form(n, IV, NU, left, right) == pytest.approx(expected, abs=1e-15)
 
 
 def test_weak_convergence_of_bilinear_forms():
@@ -327,8 +402,7 @@ def test_weak_convergence_of_bilinear_forms():
     left = PiecewisePolynomial(0.1, 0.6, (1.0,))
     right = PiecewisePolynomial(0.3, 0.9, (0.5, 1.0))
     exact = limit_bilinear_form(left, right, IV, NU, quad_n=48)
-    gaps = [abs(bilinear_form(double_product(n, IV, NU), IV, left, right) - exact)
-            for n in (25, 50, 100)]
+    gaps = [abs(bilinear_form(n, IV, NU, left, right) - exact) for n in (25, 50, 100)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert 1.5 <= gaps[0] / gaps[1] <= 2.5
     assert 1.5 <= gaps[1] / gaps[2] <= 2.5
