@@ -6,45 +6,15 @@ overflow.  The binomial follows the zero convention: C(m, n) = 0 unless
 """
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 
 MAX_DYCK_STEPS = 64
 
 
-class _PascalCache:
-    """Rows of Pascal's triangle, grown on demand.
-
-    Rows are append-only and never mutated after publication, so readers may
-    race with a single growing writer; the lock only serializes growth.
-    """
-
-    def __init__(self, rows: int = 64):
-        self._lock = threading.Lock()
-        self._rows: list[list[int]] = [[1]]
-        self._grow(rows)
-
-    def _grow(self, upto: int) -> None:
-        rows = self._rows
-        while len(rows) <= upto:
-            prev = rows[-1]
-            rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-
-    def row(self, m: int) -> list[int]:
-        if m >= len(self._rows):
-            with self._lock:
-                self._grow(m)
-        return self._rows[m]
-
-
-_PASCAL = _PascalCache()
-
-
 def binomial(m: int, n: int) -> int:
     """C(m, n) with the zero convention: 0 unless 0 <= n <= m."""
-    if n < 0 or m < 0 or n > m:
-        return 0
-    return _PASCAL.row(m)[n]
+    return math.comb(m, n) if 0 <= n <= m else 0
 
 
 def catalan_general(m: int, n: int, p: int) -> int:

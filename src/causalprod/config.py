@@ -36,6 +36,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+        # (b - a)|nu| scales every kernel argument; its square is the largest series argument
+        width, modulus = self.b - self.a, math.hypot(self.lam, self.mu)
+        if not math.isfinite((width * modulus) * (width * modulus)):
+            raise ValueError(f"(b - a) * |nu| out of range, got b - a = {width}, |nu| = {modulus}")
         if self.tol <= 0:
             raise ValueError(f"need tol > 0, got {self.tol}")
         if self.s_max < 0 or self.s_max > SERIES_CAP:

@@ -8,13 +8,15 @@ The building block is the entire two-variable series
 together with its one-variable profile G_j(x) = J_j(2 sqrt(x)) / x^{j/2}.
 Both are partial sums of one alternating series, which ``_alt_series``
 evaluates elementwise over numpy arrays; the kernels and the quadrature checks
-pass whole Gauss-Legendre panels through it.  The stopping rule bounds the
-truncation error only: once the term ratio drops below 1/2 the remaining tail
-is dominated by the last term, so stopping at |term| <= tol * max(1, |sum|)
-keeps the truncation error below the requested tolerance.  Rounding error from
-cancellation between the alternating terms is not bounded.  It grows with xy:
-B_0(x, x) is off by ~1e-10 at xy = 100, by ~1e-5 at xy = 225 and in every
-digit at xy = 400 (ROADMAP item 2).
+pass whole Gauss-Legendre panels through it.  Each call sizes its block up
+front from a-priori bounds: the term count from |term_n| <= max|first|
+max|z|^n / n!^2, and the kernel's order count from |B_q(x, y)| <= x^q / q!.
+The stopping rule bounds the truncation error only: once the term ratio drops
+below 1/2 the remaining tail is dominated by the last term, so stopping at
+|term| <= tol * max(1, |sum|) keeps the truncation error below the requested
+tolerance.  Rounding error from cancellation between the alternating terms is
+not bounded.  It grows with xy: B_0(x, x) is off by ~1e-10 at xy = 100, by
+~1e-5 at xy = 225 and in every digit at xy = 400 (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -27,9 +29,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 _MAX_TERMS = 600
-_TAIL_TERMS = 24  # terms in a series chunk past the point where the term ratio is 1/2
-_CHUNK_VALUES = 1 << 12  # largest (term x element) chunk of the series core
-_FIRST_ORDERS = 32  # orders in the first block of the kernel's q-sum
 _MAX_ORDER = 170  # largest q whose q! is a finite float64
 _FACTORIALS = np.array([math.factorial(q) for q in range(_MAX_ORDER + 1)], dtype=float)
 
@@ -80,53 +79,38 @@ def _alt_series(first, z, j, tol: float) -> np.ndarray:
     with z = t.  The arguments broadcast; j holds integer orders >= 0.  Each
     element stops at its first term n >= 1 with ratio |z| / ((n+1)(n+j+1)) <
     1/2 and |term| <= tol * max(1, |sum|), so it gets the partial sum it would
-    get alone.  The terms are formed a chunk at a time for all elements still
-    running, as a running product and a running sum along the term axis; a
-    chunk holds at most _CHUNK_VALUES values unless it is a single term.  An
-    element that has not stopped after _MAX_TERMS terms, or whose partial sum
-    overflows, raises ArithmeticError.
+    get alone.  As |term_n| <= max|first| max|z|^n / n!^2, all have stopped by
+    the first K >= 1 with max|z| < (K+1)^2 / 2 and that bound <= tol/2 (one
+    term of margin for rounding); the K + 1 terms are formed in one block as a
+    running product and a running sum.  K past _MAX_TERMS (so any non-finite
+    argument) or an overflowing sum raises ArithmeticError.
     """
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
     shape = np.broadcast(first, z, j).shape
     first, z, j = (_filled(a, shape, t).ravel() for a, t in ((first, float), (z, float), (j, int)))
     z_max = float(np.abs(z).max(initial=0.0))
-    if not math.isfinite(z_max):
-        raise ArithmeticError(f"series argument {z_max} is not finite")
-    # the term ratio drops below 1/2 by term sqrt(2 |z|); the tail then shrinks geometrically
-    span = _TAIL_TERMS + int(math.sqrt(2.0 * z_max))
-    out = np.empty(first.size)
-    live, term, total, k0 = np.arange(first.size), first, first, 1
+    n, bound = 1, float(np.abs(first).max(initial=0.0)) * z_max  # bound on |term_n|
+    while not (z_max / (n + 1) ** 2 < 0.5 and bound <= 0.5 * tol):
+        n += 1
+        if n > _MAX_TERMS:
+            raise ArithmeticError(f"series with |z| up to {z_max:.6g} need over {_MAX_TERMS} terms")
+        bound *= z_max / n**2
+    k = np.arange(1, n + 2)[:, None]
+    kk = k * (k + j)  # row i: (i+1)(i+1+j), the divisor of term i+1
+    terms = np.empty((n + 1, first.size))
+    terms[0] = first
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if k0 == _MAX_TERMS:
-                raise ArithmeticError(f"{live.size} of {out.size} series did not settle in "
-                                      f"{_MAX_TERMS} terms (largest unsettled |z| = "
-                                      f"{np.abs(z[live]).max():.6g})")
-            n = max(1, min(span, _CHUNK_VALUES // live.size, _MAX_TERMS - k0))
-            zt, jt = z[live], j[live]
-            k = np.arange(k0, k0 + n + 1)[:, None]
-            kk = k * (k + jt)  # row i: (k0+i)(k0+i+j), the divisor of term k0+i
-            terms = np.empty((n + 1, live.size))
-            terms[0] = term
-            np.divide(-zt, kk[:-1], out=terms[1:])
-            np.multiply.accumulate(terms, out=terms)
-            sums = terms.copy()
-            sums[0] = total
-            np.add.accumulate(sums, out=sums)
-            done = ((np.abs(zt) / kk[1:] < 0.5)
-                    & (np.abs(terms[1:]) <= tol * np.maximum(1.0, np.abs(sums[1:]))))
-            cols = np.arange(live.size)
-            stop = done.argmax(axis=0)
-            hit = done[stop, cols]
-            if hit.all():
-                out[live] = sums[stop + 1, cols]
-                break
-            out[live[hit]] = sums[stop[hit] + 1, cols[hit]]
-            live, term, total = live[~hit], terms[-1, ~hit], sums[-1, ~hit]
-            k0 += n
-    if not np.isfinite(out).all():
-        raise ArithmeticError(f"series overflowed (largest |z| = {z_max:.6g})")
+        np.divide(-z, kk[:-1], out=terms[1:])
+        np.multiply.accumulate(terms, out=terms)
+        mag = np.abs(terms[1:])
+        sums = np.add.accumulate(terms, out=terms)  # the terms become the partial sums
+        done = (mag <= tol * np.maximum(1.0, np.abs(sums[1:]))) & (np.abs(z) / kk[1:] < 0.5)
+    cols = np.arange(first.size)
+    stop = done.argmax(axis=0)
+    out = sums[stop + 1, cols]
+    if not (done[stop, cols].all() and np.isfinite(out).all()):
+        raise ArithmeticError(f"series overflowed or did not settle (largest |z| = {z_max:.6g})")
     return out.reshape(shape)
 
 
@@ -168,40 +152,36 @@ def bessel_profile(j: int, x: float, tol: float = DEFAULT_TOL) -> float:
 
 
 def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.ndarray:
-    """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x.
+    """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x, 0 <= x <= y.
 
-    B_q for q = 0..n_q-1 is evaluated at every point in one (q x point) block.
-    Each point's sum stops after its first three consecutive |B_q| < tol; if
-    some point has no such run in the block, n_q doubles and the block is
-    redone, up to order _MAX_ORDER.  The weights are built and the terms added
-    in order of q, as a point-by-point loop would.  A first term (-x)^q / q!
-    that overflows belongs to an order past the point's stop, or the point
-    cannot settle; it never counts as quiet.
+    Each point's sum stops after its first three consecutive |B_q| < tol.  As
+    |B_q(x, y)| <= x^q / q!, every order from the first Q >= max x with
+    (max x)^Q / Q! < tol is below tol, so orders 0..Q+2 are evaluated at every
+    point in one (q x point) block.  Q + 2 past _MAX_ORDER, or a point without
+    three quiet orders in the block, raises ArithmeticError.  The terms are
+    added in order of q, as a point-by-point loop would.
     """
-    n_q = _FIRST_ORDERS
-    while True:
-        q = np.arange(n_q)[:, None]
-        with np.errstate(over="ignore"):
-            first = (-x) ** q / _FACTORIALS[:n_q, None]
-        finite = np.isfinite(first)
-        b = _alt_series(np.where(finite, first, 0.0), x * y, q, tol)
-        quiet = (np.abs(b) < tol) & finite
-        run = quiet[:-2] & quiet[1:-1] & quiet[2:]
-        settled = run.any(axis=0)
-        if settled.all():
-            break
-        if n_q > _MAX_ORDER:
-            i = settled.argmin()
-            cause = ("" if finite[:, i].all()
-                     else f"; (-x)^q/q! overflows from q = {finite[:, i].argmin()}")
-            raise ArithmeticError(f"order sum at x = {x[i]:.6g} did not settle by order "
-                                  f"{_MAX_ORDER}{cause}")
-        n_q = min(2 * n_q, _MAX_ORDER + 1)
+    x_max = float(x.max(initial=0.0))
+    top, bound = 0, 1.0  # bound = x_max^top / top!
+    while not (top >= x_max and bound < tol):
+        top += 1
+        if top + 2 > _MAX_ORDER:
+            raise ArithmeticError(f"order sum at x = {x_max:.6g} needs orders past {_MAX_ORDER}")
+        bound *= x_max / top
+    q = np.arange(top + 3)[:, None]
+    with np.errstate(over="ignore"):
+        first = (-x) ** q / _FACTORIALS[:top + 3, None]
+    b = _alt_series(first, x * y, q, tol)
+    quiet = np.abs(b) < tol
+    run = quiet[:-2] & quiet[1:-1] & quiet[2:]
+    settled = run.any(axis=0)
+    if not settled.all():
+        raise ArithmeticError(f"order sum at x = {x[settled.argmin()]:.6g} did not settle")
     stop = run.argmax(axis=0) + 2
-    weight = np.full((n_q, 1), phase_bar)
+    weight = np.full((top + 3, 1), phase_bar)
     weight[0] = 1.0
     np.multiply.accumulate(weight, out=weight)
-    return np.where(q <= stop, b * weight, 0.0).sum(axis=0)
+    return np.add.accumulate(np.where(q <= stop, b * weight, 0.0))[-1]
 
 
 def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,13 @@ import numpy as np
 from causalprod.kernel import ComplexParam, Interval
 
 
-# Largest |c|^-t the blocked scan of product_columns may form.  The scan's
-# absolute error does not depend on it; it only keeps c^-t and c^t finite.
+# Largest |c|^-t the blocked scan of product_columns may form; it keeps c^-t
+# and c^t finite.  The scan's rounding error grows with it, because each block
+# sums terms up to _SCAN_GROWTH times larger than the values they give.  At
+# angle 1.5, n = 1000, against the same factors applied in long double, the
+# error is 7.3e-16 with plain steps (1), 2.9e-14 at 1e2 and 5.1e-14 at 1e8,
+# while apply_product is off by 1.9e-14; their difference, 3.3e-14, leaves the
+# differential tests' 1e-13 about 3x of headroom.
 _SCAN_GROWTH = 1e8
 
 

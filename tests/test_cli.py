@@ -160,6 +160,9 @@ def test_converge_validation(tmp_path, capsys):
     ["--a=-inf"],
     ["--b", "inf"],
     ["--mu", "nan"],
+    ["--a=-1e308", "--b", "1e308"],
+    ["--lambda", "1e200", "--b", "1e200"],
+    ["--lambda", "1e308", "--mu", "1e308"],
 ])
 def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert _run(["converge", *args, "--out", str(tmp_path / "s.json")]) == 2
@@ -167,6 +170,19 @@ def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--a=-1e308", "--b", "1e308", "--n", "3", "--s-max", "0"],
+    ["verify", "--a=-1e308", "--b", "1e308", "--s-max", "2"],
+])
+def test_out_of_range_interval_refused(tmp_path, capsys, argv):
+    # b - a overflows to inf; the kernel grid and the verify points would be inf
+    out = tmp_path / "a.json"
+    assert _run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):

@@ -41,15 +41,15 @@ IV = Interval(0.0, 1.0)
 NU = ComplexParam(1.0, 0.5)
 
 
-def _cases(count=10, seed=20150601):
-    """(interval, nu) pairs: nu = 0, lambda = 0, then seeded ones with |nu|(b-a) <= 3."""
+def _cases(count=10, seed=20150601, reach=3.0):
+    """(interval, nu) pairs: nu = 0, lambda = 0, then seeded ones with |nu|(b-a) <= reach."""
     rng = random.Random(seed)
     out = [(Interval(-0.5, 0.5), ComplexParam(0.0, 0.0)),
            (Interval(0.25, 1.75), ComplexParam(0.0, 1.7))]
     while len(out) < count:
         a = rng.uniform(-1.0, 1.0)
         width = rng.uniform(0.5, 2.0)
-        r, theta = rng.uniform(0.1, 3.0 / width), rng.uniform(-math.pi, math.pi)
+        r, theta = rng.uniform(0.1, reach / width), rng.uniform(-math.pi, math.pi)
         out.append((Interval(a, a + width), ComplexParam(r * math.cos(theta), r * math.sin(theta))))
     return out
 
@@ -109,8 +109,8 @@ def test_quadrature_residuals_match_scalar_panels():
 
 
 def test_series_chunks_match_the_scalar_loop_exactly():
-    # 5000 elements make the core run one term per chunk until fewer than
-    # 4096 are left; each element must still get the scalar loop's sum bit for bit
+    # 5000 elements with |z| from 0 to 2000 share one block sized for the largest
+    # |z|; each element must still get the scalar loop's sum bit for bit
     rng = np.random.default_rng(3)
     t = np.concatenate([[0.0, 1e-300], 2000.0 * rng.random(4998)])
     j = rng.integers(0, 4, t.size)
@@ -139,18 +139,19 @@ def test_single_points_go_through_bessel_series(monkeypatch):
 
 
 def test_overflowing_orders_raise_without_numpy_warnings():
-    # (y-x)|nu| = 70: (-x)^q / q! overflows from q = 168, before the order sum
-    # settles; the three overflowing orders must not pass for three quiet ones
+    # (y-x)|nu| = 70: 70^q / q! drops below 1e-12 only past q = 170, and (-x)^q
+    # overflows from q = 168, so the order sum refuses before it forms any order
     iv, nu = Interval(0.0, 1.0), ComplexParam(70.0 * 1.2, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="overflows from q = 168"):
+        with pytest.raises(ArithmeticError, match="needs orders past 170"):
             kernel_causal(0.0, 1.0 / 1.2, iv, nu)
 
 
-def test_order_sum_past_the_first_block(monkeypatch):
-    # at (b-a)|nu| = 5.5, |B_q| stays above 1e-12 past q = 32 for the wide pair,
-    # so the block doubles; the narrow pair's sum still stops at its own order
+def test_order_sum_is_one_block_sized_up_front(monkeypatch):
+    # at (b-a)|nu| = 5.5 the wide pair has (y-x)|nu| = 5.39, and 5.39^q / q! < 1e-12
+    # from Q = 32: one block of orders 0..34 for both pairs; the narrow pair's sum
+    # still stops at its own order
     shapes = []
     core = kernel._alt_series
 
@@ -163,8 +164,24 @@ def test_order_sum_past_the_first_block(monkeypatch):
     iv, nu = IV, ComplexParam(4.4, 3.3)
     x, y = np.array([0.01, 0.3]), np.array([0.99, 0.6])
     fast = kernel_causal(x, y, iv, nu)
-    assert (64, 2) in shapes
+    assert shapes == [(2,), (2,), (35, 2)]
     assert _close(fast, [kernel_causal_slow(u, v, iv, nu, 1e-12) for u, v in zip(x, y)])
+
+
+@pytest.mark.parametrize("iv, nu", _cases(8, seed=7, reach=6.0)[2:])
+def test_single_points_equal_their_array_entries_bit_for_bit(iv, nu):
+    # a point's value must not depend on the other points of its call, nor on
+    # whether it comes alone: every order sum adds its terms in order of q
+    rng = np.random.default_rng(4)
+    x, y = _pairs(iv, 20, rng)
+    pts = iv.a + iv.width * rng.random(6)
+    for tol in TOLS:
+        fast = kernel_causal(x, y, iv, nu, tol)
+        assert np.array_equal(fast, [kernel_causal(float(u), float(v), iv, nu, tol)
+                                     for u, v in zip(x, y)])
+        grid = limit_kernel(pts[:, None], pts[None, :], iv, nu, tol)
+        assert np.array_equal(grid, [[limit_kernel(float(u), float(v), iv, nu, tol)
+                                      for v in pts] for u in pts])
 
 
 def test_scalar_and_zero_dim_inputs_return_python_complex():
