@@ -17,12 +17,10 @@ from .coefficients import (
     reversed_count_brute,
     reversed_count_closed,
     truncated_kernel,
-    unitarity_identity_residual,
 )
 from .kernel import (
     ComplexParam,
     Interval,
-    bessel_profile,
     bessel_series,
     isometry_residual,
     kernel_anticausal,
@@ -32,11 +30,9 @@ from .kernel import (
     sonine_gegenbauer_residual,
 )
 from .lattice import (
-    DegenerateOrdering,
     EssentialOrder,
     LatticePath,
     LinearExtension,
-    enumerate_degenerate_orderings,
     enumerate_linear_extensions,
     enumerate_paths,
     essential_order,
@@ -46,12 +42,9 @@ from .product import (
     PairOrdering,
     PiecewisePolynomial,
     bilinear_form,
-    chain_count_matrix,
     convergence_study,
     double_product,
-    kernel_estimate,
     limit_bilinear_form,
-    linearized_product,
 )
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+CHECK_NODES = 64  # Gauss-Legendre nodes per panel of the integral-identity checks
 _MAX_TERMS = 600
 _MAX_ORDER = 170  # largest q whose q! is a finite float64
 _FACTORIALS = np.array([math.factorial(q) for q in range(_MAX_ORDER + 1)], dtype=float)
@@ -274,20 +275,18 @@ def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def isometry_residual(x: float, y: float, iv: Interval, nu: ComplexParam,
-                      quad_n: int = 64, tol: float = DEFAULT_TOL) -> complex:
+                      tol: float = DEFAULT_TOL) -> complex:
     """Defect of the isometry identity at a < x < y < b; zero when the operator is unitary.
 
     f(x,y) + conj(g(y,x)) + int_a^x g(x,z)conj(g(y,z)) dz
     + int_x^y f(x,z)conj(g(y,z)) dz + int_y^b f(x,z)conj(f(y,z)) dz,
 
     with f the causal and g the anticausal kernel part.  Each panel gets
-    quad_n Gauss-Legendre nodes; the panel split at x and y matters because
-    the kernel switches branch there.
+    CHECK_NODES Gauss-Legendre nodes; the panel split at x and y matters
+    because the kernel switches branch there.
     """
     if not (iv.a < x < y < iv.b):
         raise ValueError(f"need a < x < y < b, got x={x}, y={y} in {iv}")
-    if quad_n < 2:
-        raise ValueError(f"need quad_n >= 2, got {quad_n}")
 
     def f(u, z):
         return kernel_causal(u, z, iv, nu, tol)
@@ -296,14 +295,13 @@ def isometry_residual(x: float, y: float, iv: Interval, nu: ComplexParam,
         return kernel_anticausal(u, z, iv, nu, tol)
 
     total = f(x, y) + g(y, x).conjugate()
-    total += gauss_legendre(lambda z: g(x, z) * g(y, z).conjugate(), iv.a, x, quad_n)
-    total += gauss_legendre(lambda z: f(x, z) * g(y, z).conjugate(), x, y, quad_n)
-    total += gauss_legendre(lambda z: f(x, z) * f(y, z).conjugate(), y, iv.b, quad_n)
+    total += gauss_legendre(lambda z: g(x, z) * g(y, z).conjugate(), iv.a, x, CHECK_NODES)
+    total += gauss_legendre(lambda z: f(x, z) * g(y, z).conjugate(), x, y, CHECK_NODES)
+    total += gauss_legendre(lambda z: f(x, z) * f(y, z).conjugate(), y, iv.b, CHECK_NODES)
     return total
 
 
-def lommel_residual(alpha: float, beta: float, x: float, quad_n: int = 64,
-                    tol: float = DEFAULT_TOL) -> float:
+def lommel_residual(alpha: float, beta: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """|int_0^x G_0(alpha z) G_0(beta z) dz - closed form| (Lommel integral).
 
     Closed form: (alpha x G_1(alpha x) G_0(beta x) - beta x G_1(beta x)
@@ -316,15 +314,15 @@ def lommel_residual(alpha: float, beta: float, x: float, quad_n: int = 64,
     if x < 0:
         raise ValueError("need x >= 0")
     scales = np.array([[alpha], [beta]])
-    lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z, tol), axis=0), 0.0, x, quad_n)
+    lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z, tol), axis=0),
+                         0.0, x, CHECK_NODES)
     g0a, g0b = _profile(0, (alpha * x, beta * x), tol)
     g1a, g1b = _profile(1, (alpha * x, beta * x), tol)
     rhs = (alpha * x * g1a * g0b - beta * x * g1b * g0a) / (alpha - beta)
     return float(abs(lhs - rhs))
 
 
-def sonine_gegenbauer_residual(beta: float, z: float, quad_n: int = 64,
-                               tol: float = DEFAULT_TOL) -> float:
+def sonine_gegenbauer_residual(beta: float, z: float, tol: float = DEFAULT_TOL) -> float:
     """|int_0^z G_1(w) G_1(w + beta) dw - closed form| (Sonine-Gegenbauer type).
 
     Closed form: (z G_1(z) G_0(z+beta) - (z+beta) G_1(z+beta) G_0(z)) / beta
@@ -335,7 +333,8 @@ def sonine_gegenbauer_residual(beta: float, z: float, quad_n: int = 64,
     if z < 0:
         raise ValueError("need z >= 0")
     shifts = np.array([[0.0], [beta]])
-    lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts, tol), axis=0), 0.0, z, quad_n)
+    lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts, tol), axis=0),
+                         0.0, z, CHECK_NODES)
     g1z, g1zb, g1b = _profile(1, (z, z + beta, beta), tol)
     g0z, g0zb = _profile(0, (z, z + beta), tol)
     rhs = (z * g1z * g0zb - (z + beta) * g1zb * g0z) / beta + g1b

@@ -40,6 +40,8 @@ from .kernel import (
     limit_kernel,
 )
 
+_PANEL_NODES = 32  # Gauss-Legendre nodes per panel of limit_bilinear_form
+
 
 @dataclass(frozen=True)
 class PairOrdering:
@@ -379,12 +381,12 @@ def bilinear_form(n: int, iv: Interval, nu: ComplexParam, left: PiecewisePolynom
 
 
 def limit_bilinear_form(left: PiecewisePolynomial, right: PiecewisePolynomial,
-                        iv: Interval, nu: ComplexParam, quad_n: int = 48) -> complex:
+                        iv: Interval, nu: ComplexParam) -> complex:
     """<left, K right> for the limit kernel K, by nested Gauss-Legendre.
 
-    The inner integral is split at the diagonal, where the kernel switches
-    between its causal and anticausal branches; each inner panel is one array
-    evaluation of the kernel.
+    The inner integral is split at the diagonal, where the kernel switches branch,
+    the outer one at right's support ends, where the inner panels change shape;
+    each panel gets _PANEL_NODES nodes, and each inner panel is one kernel call.
     """
     if nu.modulus == 0.0:
         return 0j
@@ -395,15 +397,16 @@ def limit_bilinear_form(left: PiecewisePolynomial, right: PiecewisePolynomial,
         if x > lo:
             total += gauss_legendre(
                 lambda y: kernel_anticausal(x, y, iv, nu) * right(y),
-                lo, min(x, hi), quad_n)
+                lo, min(x, hi), _PANEL_NODES)
         if x < hi:
             total += gauss_legendre(
                 lambda y: kernel_causal(x, y, iv, nu) * right(y),
-                max(x, lo), hi, quad_n)
+                max(x, lo), hi, _PANEL_NODES)
         return total
 
-    return gauss_legendre(lambda xs: np.array([left(x) * inner(x) for x in xs]),
-                          left.lo, left.hi, quad_n)
+    cuts = sorted({left.lo, left.hi, *(c for c in (right.lo, right.hi) if left.lo < c < left.hi)})
+    return sum(gauss_legendre(lambda xs: np.array([left(x) * inner(x) for x in xs]),
+                              lo, hi, _PANEL_NODES) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def first_excluded_term_bound(n: int, iv: Interval, nu: ComplexParam) -> float:

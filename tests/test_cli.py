@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_converge_validation(tmp_path, capsys):
     ["--n-list", "1,2"],
     ["--n-list", ","],
     ["--lambda", "nan"],
-    ["--tol", "inf"],
+    ["--n-list", "4,x"],
     ["--a=-inf"],
     ["--b", "inf"],
     ["--mu", "nan"],
@@ -170,6 +171,13 @@ def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_verify_non_finite_tol_refused(tmp_path, capsys):
+    assert _run(["verify", "--tol", "inf", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -203,6 +211,21 @@ def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):
 def test_unsettled_series_fails_in_one_line(tmp_path, capsys, argv):
     out = tmp_path / "a.json"
     assert _run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# (b - a)|nu| is small, but nu + conj(nu) overflows inside the kernel
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "2", "--s-max", "0"],
+    ["kernel", "--n", "2", "--s-max", "0", "--format", "csv"],
+    ["verify", "--s-max", "2"],
+])
+def test_non_finite_values_are_never_written(tmp_path, capsys, argv):
+    out = tmp_path / "a.out"
+    huge = ["--lambda", "1e308", "--mu", "1e308", "--a", "0", "--b", "1e-307"]
+    assert _run([*argv, *huge, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("check failed:") and err.count("\n") == 1
     assert not out.exists()
@@ -273,6 +296,40 @@ def test_help_is_not_an_error(capsys):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: causalprod verify") and "--s-max" in out and err == ""
+
+
+NU_FLAGS = ["--a", "--b", "--lambda", "--mu"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("coeffs", ["--s-max"]),
+    ("verify", [*NU_FLAGS, "--s-max", "--tol"]),
+    ("converge", [*NU_FLAGS, "--n-list"]),
+    ("kernel", [*NU_FLAGS, "--n", "--s-max"]),
+])
+def test_help_lists_exactly_the_flags_read(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        _run([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *flags, "--format", "--out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--lambda", "1"],
+    ["converge", "--tol", "1e-3"],
+    ["converge", "--s-max", "41"],
+    ["kernel", "--n-list", "4,8"],
+    ["verify", "--n", "3"],
+])
+def test_unread_flags_are_argument_errors(tmp_path, capsys, argv):
+    out = tmp_path / "a.json"
+    with pytest.raises(SystemExit) as exc:
+        _run([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_config_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from causalprod import kernel
 from causalprod.coefficients import truncated_kernel
 from causalprod.kernel import (
     ComplexParam,
@@ -164,21 +165,30 @@ def test_gauss_legendre_polynomial_exactness():
 
 def test_isometry_residual_small():
     for x, y in [(0.25, 0.75), (0.4, 0.6), (0.1, 0.9)]:
-        assert abs(isometry_residual(x, y, IV, ComplexParam(1.0, 0.0), quad_n=64)) < 1e-8
-        assert abs(isometry_residual(x, y, IV, ComplexParam(0.5, 0.5), quad_n=64)) < 1e-8
+        assert abs(isometry_residual(x, y, IV, ComplexParam(1.0, 0.0))) < 1e-8
+        assert abs(isometry_residual(x, y, IV, ComplexParam(0.5, 0.5))) < 1e-8
 
 
-def test_isometry_residual_region_and_nodes():
+def test_isometry_residual_region_and_nodes(monkeypatch):
     with pytest.raises(ValueError):
         isometry_residual(0.7, 0.3, IV, NU)
-    with pytest.raises(ValueError):
-        isometry_residual(0.3, 0.7, IV, NU, quad_n=1)
+    nodes = []
+
+    def counted(fn, lo, hi, n):
+        nodes.append(n)
+        return gauss_legendre(fn, lo, hi, n)
+
+    monkeypatch.setattr(kernel, "gauss_legendre", counted)
+    isometry_residual(0.3, 0.7, IV, NU)
+    assert nodes == [64] * 3
 
 
-def test_isometry_residual_quadrature_refinement():
+def test_isometry_residual_quadrature_refinement(monkeypatch):
+    # the fixed 64-node rule sits on the converged side of the refinement ladder
     prev = None
     for quad_n in (8, 16, 32, 64, 128):
-        cur = abs(isometry_residual(0.3, 0.7, IV, NU, quad_n=quad_n))
+        monkeypatch.setattr(kernel, "CHECK_NODES", quad_n)
+        cur = abs(isometry_residual(0.3, 0.7, IV, NU))
         if prev is not None:
             assert cur <= prev or cur < 1e-12
         prev = cur

@@ -94,18 +94,18 @@ def test_kernel_arrays_match_scalar_loops(iv, nu, tol):
 def test_isometry_residual_matches_scalar_panels(iv, nu):
     for fx, fy in ((0.25, 0.75), (0.1, 0.9)):
         x, y = iv.a + fx * iv.width, iv.a + fy * iv.width
-        fast = isometry_residual(x, y, iv, nu, quad_n=16, tol=1e-12)
-        assert _close(fast, isometry_residual_slow(x, y, iv, nu, 16, 1e-12))
+        fast = isometry_residual(x, y, iv, nu, tol=1e-12)
+        assert _close(fast, isometry_residual_slow(x, y, iv, nu, kernel.CHECK_NODES, 1e-12))
 
 
 def test_quadrature_residuals_match_scalar_panels():
     for tol in TOLS:
         for alpha, beta, x in ((1.0, 2.0, 0.5), (3.0, 1.0, 2.0), (0.5, 1.5, 1.0)):
-            assert _close(lommel_residual(alpha, beta, x, 32, tol),
-                          lommel_residual_slow(alpha, beta, x, 32, tol))
+            assert _close(lommel_residual(alpha, beta, x, tol),
+                          lommel_residual_slow(alpha, beta, x, kernel.CHECK_NODES, tol))
         for beta, z in ((0.5, 0.4), (2.0, 1.6), (1.0, 1.0)):
-            assert _close(sonine_gegenbauer_residual(beta, z, 32, tol),
-                          sonine_gegenbauer_residual_slow(beta, z, 32, tol))
+            assert _close(sonine_gegenbauer_residual(beta, z, tol),
+                          sonine_gegenbauer_residual_slow(beta, z, kernel.CHECK_NODES, tol))
 
 
 def test_series_chunks_match_the_scalar_loop_exactly():

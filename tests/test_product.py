@@ -401,11 +401,21 @@ def test_weak_convergence_of_bilinear_forms():
     """The literal weak-convergence check: matrix elements against test functions."""
     left = PiecewisePolynomial(0.1, 0.6, (1.0,))
     right = PiecewisePolynomial(0.3, 0.9, (0.5, 1.0))
-    exact = limit_bilinear_form(left, right, IV, NU, quad_n=48)
+    exact = limit_bilinear_form(left, right, IV, NU)
     gaps = [abs(bilinear_form(n, IV, NU, left, right) - exact) for n in (25, 50, 100)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert 1.5 <= gaps[0] / gaps[1] <= 2.5
     assert 1.5 <= gaps[1] / gaps[2] <= 2.5
+
+
+def test_weak_convergence_up_to_4096():
+    # the O(1/N) rate stays clean only while the limit form's own error is far below the gap
+    left = PiecewisePolynomial(0.1, 0.6, (1.0,))
+    right = PiecewisePolynomial(0.3, 0.9, (0.5, 1.0))
+    exact = limit_bilinear_form(left, right, IV, NU)
+    gaps = [abs(bilinear_form(n, IV, NU, left, right) - exact)
+            for n in (256, 512, 1024, 2048, 4096)]
+    assert all(1.9 <= g0 / g1 <= 2.1 for g0, g1 in zip(gaps, gaps[1:]))
 
 
 def test_limit_bilinear_form_zero_parameter():
