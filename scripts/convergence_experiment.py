@@ -15,7 +15,7 @@ import csv
 import sys
 
 from causalprod.kernel import ComplexParam, Interval
-from causalprod.product import convergence_study, sample_points
+from causalprod.product import convergence_study
 
 PARAMS = [
     ("real", ComplexParam(1.0, 0.0)),
@@ -34,11 +34,10 @@ def main() -> int:
 
     ns = tuple(int(tok) for tok in args.n_list.split(","))
     iv = Interval(args.a, args.b)
-    samples = sample_points(iv)
 
     rows = []
     for tag, nu in PARAMS:
-        study = convergence_study(ns, samples, iv, nu)
+        study = convergence_study(ns, iv, nu)
         for n, err, bound in zip(study.ns, study.max_errors, study.bounds):
             rows.append({"param": tag, "n": n, "max_error": err,
                          "bound": bound, "fitted_rate": study.fitted_rate})

@@ -152,8 +152,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     if max(ns) > CONVERGE_DIM_CAP:
         sys.stderr.write(f"refusing: max n is capped at {CONVERGE_DIM_CAP}\n")
         return 2
-    study = prod.convergence_study(ns, prod.sample_points(cfg.interval),
-                                   cfg.interval, cfg.param)
+    study = prod.convergence_study(ns, cfg.interval, cfg.param)
     rows = [{"n": n, "max_error": err, "fitted_rate": study.fitted_rate}
             for n, err in zip(study.ns, study.max_errors)]
     ok = all(e1 >= e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))

@@ -15,6 +15,9 @@ MAX_PRODUCT_DIM = 512
 CONVERGE_DIM_CAP = 4096
 # verify's coefficient identity costs about s**8; s_max = 20 takes ~4 s
 VERIFY_IDENTITY_CAP = 20
+# verify's isometry check puts kernel.CHECK_NODES = 64 Gauss-Legendre nodes on panels as short
+# as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
+QUADRATURE_CELLS = 28_800
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,13 @@ class RunConfig:
             raise ValueError("n_list must not be empty")
         if min(self.n_list) < 2:
             raise ValueError(f"every n in n_list must be >= 2, got {self.n_list}")
+        # the finest division of [a, b) any command makes: the kernel grid, converge's cells
+        # and the quadrature nodes of verify's isometry check
+        cells = max(max(self.n_list), self.n + 1, QUADRATURE_CELLS)
+        offset = max(abs(self.a), abs(self.b))
+        if width / cells < 4 * math.ulp(offset):
+            raise ValueError(f"b - a = {width} is too narrow at |a|, |b| up to {offset}: "
+                             f"steps of (b - a)/{cells} would round onto a or b")
 
     @property
     def interval(self) -> Interval:

@@ -114,49 +114,33 @@ def enumerate_paths(s: int) -> list[LatticePath]:
 
 
 def essential_order(path: LatticePath) -> EssentialOrder:
-    s = path.s
+    """The s+1 index classes of a path and their generating relations, in one pass.
+
+    Each vertex keeps its (smaller, larger) class pair.  Along an edge one
+    class carries over and the other is opened, labelled by the coordinate
+    (column, slot) that opens it; that coordinate is the class's smallest member.
+    """
     bits = path.bits
-    parent: dict[Label, Label] = {(i, slot): (i, slot) for i in range(1, s + 1) for slot in (1, 2)}
-
-    def find(x: Label) -> Label:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: Label, y: Label) -> None:
-        parent[find(x)] = find(y)
-
-    for i in range(1, s):
-        edge = (bits[i - 1], bits[i])
-        if edge == (0, 1):
-            union((i, 1), (i + 1, 1))
-        elif edge == (1, 1):
-            union((i, 2), (i + 1, 1))
-        else:  # (1, 0); (0, 0) excluded by the path invariant
-            union((i, 2), (i + 1, 2))
-
-    members: dict[Label, list[Label]] = {}
-    for coord in parent:
-        members.setdefault(find(coord), []).append(coord)
-    canon = {root: min(group) for root, group in members.items()}
-    rep = {coord: canon[find(coord)] for coord in parent}
-
-    relations: set[tuple[Label, Label]] = set()
-    for i in range(1, s + 1):
-        relations.add((rep[(i, 1)], rep[(i, 2)]))
-    for i in range(1, s):
-        edge = (bits[i - 1], bits[i])
-        if edge == (0, 1):
-            relations.add((rep[(i, 2)], rep[(i + 1, 2)]))
-        elif edge == (1, 0):
-            relations.add((rep[(i, 1)], rep[(i + 1, 1)]))
-
-    labels = tuple(sorted(set(rep.values())))
-    assert len(labels) == s + 1, "merging must leave exactly s+1 classes"
-    first = rep[(1, 2 - bits[0])]
-    last = rep[(s, 1 + bits[-1])]
-    return EssentialOrder(labels=labels, less=frozenset(relations), first=first, last=last)
+    pairs = [((1, 1), (1, 2))]
+    less = {pairs[0]}
+    for i in range(1, path.s):
+        lo, hi = pairs[-1]
+        edge = bits[i - 1:i + 1]
+        if edge == (0, 1):  # the smaller class is shared
+            new = (i + 1, 2)
+            less.add((hi, new))
+            pairs.append((lo, new))
+        elif edge == (1, 1):  # the larger class becomes the smaller one
+            new = (i + 1, 2)
+            pairs.append((hi, new))
+        else:  # (1, 0): the larger class is shared; (0, 0) excluded by the path invariant
+            new = (i + 1, 1)
+            less.add((lo, new))
+            pairs.append((new, hi))
+        less.add(pairs[-1])
+    labels = tuple(sorted({lab for pair in pairs for lab in pair}))
+    return EssentialOrder(labels=labels, less=frozenset(less),
+                          first=pairs[0][1 - bits[0]], last=pairs[-1][bits[-1]])
 
 
 def _extension_from_sequence(seq: tuple[Label, ...], order: EssentialOrder) -> LinearExtension:
@@ -166,66 +150,45 @@ def _extension_from_sequence(seq: tuple[Label, ...], order: EssentialOrder) -> L
     return LinearExtension(order=seq, rank=(r, r_prime), forward=pos[order.first] < pos[order.last])
 
 
-def enumerate_linear_extensions(order: EssentialOrder) -> list[LinearExtension]:
-    """All strict total orders refining the partial order, lexicographically.
+def _refinements(order: EssentialOrder, ties: bool) -> list[tuple[tuple[Label, ...], ...]]:
+    """Total preorders refining the order, as level sequences, lexicographically.
 
-    Plain backtracking over available elements (all predecessors placed); no
-    symmetry shortcuts, so this stays trustworthy as the counting oracle.
+    Each level is one available class (all predecessors placed) or, when ``ties``
+    is set, two classes available together, i.e. incomparable.  Plain backtracking
+    with no symmetry shortcuts, so it stays trustworthy as the counting oracle.
     """
-    preds = order.predecessors()
-    labels = order.labels
-    out: list[LinearExtension] = []
-    chosen: list[Label] = []
+    preds, labels = order.predecessors(), order.labels
+    out: list[tuple[tuple[Label, ...], ...]] = []
+    levels: list[tuple[Label, ...]] = []
     placed: set[Label] = set()
 
     def rec() -> None:
-        if len(chosen) == len(labels):
-            out.append(_extension_from_sequence(tuple(chosen), order))
+        if len(placed) == len(labels):
+            out.append(tuple(levels))
             return
-        for lab in labels:
-            if lab not in placed and preds[lab] <= placed:
-                placed.add(lab)
-                chosen.append(lab)
+        avail = [lab for lab in labels if lab not in placed and preds[lab] <= placed]
+        for i, a in enumerate(avail):
+            for level in [(a,), *((a, b) for b in avail[i + 1:])] if ties else [(a,)]:
+                levels.append(level)
+                placed.update(level)
                 rec()
-                chosen.pop()
-                placed.remove(lab)
+                placed.difference_update(level)
+                levels.pop()
 
     rec()
     return out
 
 
+def enumerate_linear_extensions(order: EssentialOrder) -> list[LinearExtension]:
+    """All strict total orders refining the partial order, lexicographically."""
+    return [_extension_from_sequence(sum(levels, ()), order)
+            for levels in _refinements(order, ties=False)]
+
+
 def enumerate_degenerate_orderings(order: EssentialOrder) -> list[DegenerateOrdering]:
     """All total preorders refining the order with tie classes of size exactly 2.
 
-    A tie level may merge two elements that are simultaneously available,
-    which is equivalent to them being incomparable.  At least one tie is
-    required; tie-free refinements are the linear extensions.
+    At least one tie is required; tie-free refinements are the linear extensions.
     """
-    preds = order.predecessors()
-    labels = order.labels
-    out: list[DegenerateOrdering] = []
-    levels: list[tuple[Label, ...]] = []
-    placed: set[Label] = set()
-
-    def rec(ties: int) -> None:
-        if len(placed) == len(labels):
-            if ties > 0:
-                out.append(DegenerateOrdering(levels=tuple(levels)))
-            return
-        avail = [lab for lab in labels if lab not in placed and preds[lab] <= placed]
-        for i, a in enumerate(avail):
-            levels.append((a,))
-            placed.add(a)
-            rec(ties)
-            placed.remove(a)
-            levels.pop()
-            for b in avail[i + 1:]:
-                levels.append((a, b))
-                placed.update((a, b))
-                rec(ties + 1)
-                placed.difference_update((a, b))
-                levels.pop()
-
-    rec(0)
-    out.sort(key=lambda d: d.levels)
-    return out
+    tied = (DegenerateOrdering(levels=levels) for levels in _refinements(order, ties=True))
+    return sorted((d for d in tied if d.degree), key=lambda d: d.levels)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,9 +271,10 @@ def chain_count_matrix(n: int, s: int, r: int, r_prime: int, iv: Interval) -> np
     """Scaled matrix counting increasing index chains with a given rank profile.
 
     Entry (j, k) with j < k counts, times ((b-a)/n)^s, the chains with r
-    indices below j, s-1-r-r' strictly between j and k, and r' above k; with
-    r + r' > s the roles reverse and the support moves to k < j.  The split
-    case r + r' == s is empty and rejected.
+    indices below j, s-1-r-r' strictly between j and k, and r' above k.  With
+    r + r' > s the roles reverse: the matrix is the transpose of the one for the
+    rank (s - r', s - r), supported on k < j.  The split case r + r' == s is
+    empty and rejected.
     """
     if r < 0 or r_prime < 0 or r > s or r_prime > s:
         raise ValueError(f"rank ({r}, {r_prime}) out of range for s={s}")
@@ -281,24 +282,17 @@ def chain_count_matrix(n: int, s: int, r: int, r_prime: int, iv: Interval) -> np
         raise ValueError(f"rank ({r}, {r_prime}) with r + r' == s is infeasible")
     if s > n - 1:
         raise ValueError(f"need s <= n - 1, got s={s}, n={n}")
+    if r + r_prime > s:
+        return chain_count_matrix(n, s, s - r_prime, s - r, iv).T
     scale = (iv.width / n) ** s
+    mid = s - 1 - r - r_prime
     m = np.zeros((n, n))
-    if r + r_prime < s:
-        mid = s - 1 - r - r_prime
-        for j in range(1, n + 1):
-            left = binomial(j - 1, r)
-            if left == 0:
-                continue
-            for k in range(j + 1, n + 1):
-                m[j - 1, k - 1] = scale * left * binomial(k - j - 1, mid) * binomial(n - k, r_prime)
-    else:
-        mid = r + r_prime - s - 1
-        for k in range(1, n + 1):
-            left = binomial(k - 1, s - r_prime)
-            if left == 0:
-                continue
-            for j in range(k + 1, n + 1):
-                m[j - 1, k - 1] = scale * left * binomial(j - k - 1, mid) * binomial(n - j, s - r)
+    for j in range(1, n + 1):
+        left = binomial(j - 1, r)
+        if left == 0:
+            continue
+        for k in range(j + 1, n + 1):
+            m[j - 1, k - 1] = scale * left * binomial(k - j - 1, mid) * binomial(n - k, r_prime)
     return m
 
 
@@ -439,12 +433,11 @@ class ConvergenceStudy:
         )
 
 
-def convergence_study(ns: Sequence[int], samples: Iterable[tuple[float, float]],
-                      iv: Interval, nu: ComplexParam) -> ConvergenceStudy:
+def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> ConvergenceStudy:
     """Per-n max error between the product's kernel estimate and the limit kernel.
 
-    Each sample point is mapped to its containing cell pair; the comparison
-    happens at that cell's midpoints.  Only the sampled columns of the product
+    Each point of ``sample_points(iv)`` is mapped to its containing cell pair;
+    the comparison happens at that cell's midpoints.  Only the sampled columns of the product
     are formed (``apply_product`` on unit columns), and the limit kernel is evaluated at all
     sampled cells in one array call.  The fitted rate is the slope of
     log(error) against log(n); errors that are exactly zero (nu = 0) give a
@@ -456,7 +449,7 @@ def convergence_study(ns: Sequence[int], samples: Iterable[tuple[float, float]],
         raise ValueError(f"sizes must be >= 2, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"sizes must be strictly increasing, got {ns}")
-    samples = tuple(samples)
+    samples = sample_points(iv)
     errors = []
     for n in ns:
         step = iv.width / n

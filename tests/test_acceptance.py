@@ -35,7 +35,7 @@ from causalprod.kernel import (
     bessel_series,
 )
 from causalprod.lattice import enumerate_paths
-from causalprod.product import PairOrdering, convergence_study, double_product, sample_points
+from causalprod.product import PairOrdering, convergence_study, double_product
 from unitarity import unitarity_defect
 
 IV = Interval(0.0, 1.0)
@@ -143,7 +143,7 @@ def test_criterion_07_ordering_independence():
 
 def test_criterion_08_convergence_rate():
     t0 = time.time()
-    study = convergence_study((50, 100, 200), sample_points(IV), IV, NU)
+    study = convergence_study((50, 100, 200), IV, NU)
     r1 = study.max_errors[0] / study.max_errors[1]
     r2 = study.max_errors[1] / study.max_errors[2]
     elapsed = time.time() - t0

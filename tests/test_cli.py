@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from causalprod import cli
-from causalprod.config import VERIFY_IDENTITY_CAP, RunConfig
+from causalprod import cli, kernel
+from causalprod.config import QUADRATURE_CELLS, VERIFY_IDENTITY_CAP, RunConfig
 
 
 def _run(argv):
@@ -183,14 +183,33 @@ def test_verify_non_finite_tol_refused(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["kernel", "--a=-1e308", "--b", "1e308", "--n", "3", "--s-max", "0"],
     ["verify", "--a=-1e308", "--b", "1e308", "--s-max", "2"],
+    ["verify", "--a", "1e16", "--b", "1.0000000000000004e16"],
+    ["kernel", "--a", "1e16", "--b", "1.0000000000000004e16", "--n", "3", "--s-max", "0"],
+    ["converge", "--a", "1e16", "--b", "1.0000000000000004e16", "--n-list", "4,8"],
+    ["verify", "--a", "1e16", "--b", "10000000000001600", "--lambda", "1e-10", "--mu", "0"],
 ])
 def test_out_of_range_interval_refused(tmp_path, capsys, argv):
-    # b - a overflows to inf; the kernel grid and the verify points would be inf
+    # b - a overflows to inf, or is so narrow for its offset that grid points or
+    # quadrature nodes would round onto a or b
     out = tmp_path / "a.json"
     assert _run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["converge", "--n-list", "64,4096"],
+])
+def test_narrow_interval_at_large_offset_runs(tmp_path, argv):
+    assert _run([*argv, "--a", "1e7", "--b", "10000001", "--out", str(tmp_path / "a.json")]) == 0
+
+
+def test_quadrature_cells_cover_the_check_nodes():
+    # the node nearest an end of verify's shortest isometry panel, (b - a)/10 long
+    nodes, _ = np.polynomial.legendre.leggauss(kernel.CHECK_NODES)
+    assert QUADRATURE_CELLS >= 1 / (0.05 * (1 - nodes.max()))
 
 
 def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):

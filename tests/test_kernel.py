@@ -76,27 +76,6 @@ def test_bessel_profile_relates_to_series():
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
-@pytest.mark.parametrize("h_pair", [(1e-3, 5e-4)])
-def test_bessel_derivatives_second_order(h_pair):
-    pts = [(0.6, 1.1), (1.3, 0.7), (1.9, 1.6)]
-    for j in range(0, 6):
-        for x, y in pts:
-            exact_x = -bessel_series(j - 1, x, y, 1e-14)
-            exact_y = bessel_series(j + 1, x, y, 1e-14)
-            errs_x, errs_y = [], []
-            for h in h_pair:
-                fd_x = (bessel_series(j, x + h, y, 1e-14)
-                        - bessel_series(j, x - h, y, 1e-14)) / (2 * h)
-                fd_y = (bessel_series(j, x, y + h, 1e-14)
-                        - bessel_series(j, x, y - h, 1e-14)) / (2 * h)
-                errs_x.append(abs(fd_x - exact_x))
-                errs_y.append(abs(fd_y - exact_y))
-            if errs_x[1] > 1e-12:
-                assert math.log2(errs_x[0] / errs_x[1]) >= 1.9
-            if errs_y[1] > 1e-12:
-                assert math.log2(errs_y[0] / errs_y[1]) >= 1.9
-
-
 def test_kernel_region_validation():
     with pytest.raises(ValueError):
         kernel_causal(0.7, 0.3, IV, NU)

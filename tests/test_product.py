@@ -17,7 +17,6 @@ from causalprod.product import (
     limit_bilinear_form,
     linearized_product,
     midpoints,
-    sample_points,
 )
 from product_oracle import product_columns
 from unitarity import unitarity_defect
@@ -223,7 +222,7 @@ def test_kernel_estimate_both_regions():
 
 
 def test_convergence_study_rates():
-    study = convergence_study((25, 50, 100), sample_points(IV), IV, NU)
+    study = convergence_study((25, 50, 100), IV, NU)
     assert all(e1 > e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
     for ratio in study.ratios():
         assert 1.5 <= ratio <= 2.5
@@ -235,16 +234,16 @@ def test_convergence_study_rates():
 
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
-        convergence_study((50, 50), sample_points(IV), IV, NU)
+        convergence_study((50, 50), IV, NU)
 
 
 def test_convergence_study_rejects_sizes_below_two():
     with pytest.raises(ValueError):
-        convergence_study((1, 2), sample_points(IV), IV, NU)
+        convergence_study((1, 2), IV, NU)
 
 
 def test_convergence_study_large_sizes():
-    study = convergence_study((256, 512, 1024, 2048, 4096), sample_points(IV), IV, NU)
+    study = convergence_study((256, 512, 1024, 2048, 4096), IV, NU)
     assert all(e1 > e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
     assert 0.9 <= study.fitted_rate <= 1.1
     assert all(err <= bound for err, bound in zip(study.max_errors, study.bounds))
@@ -369,7 +368,7 @@ def test_product_columns_validation():
 
 
 def test_convergence_study_zero_parameter():
-    study = convergence_study((10, 20), sample_points(IV), IV, ComplexParam(0.0, 0.0))
+    study = convergence_study((10, 20), IV, ComplexParam(0.0, 0.0))
     assert study.max_errors == (0.0, 0.0)
     assert study.fitted_rate == 0.0
 
