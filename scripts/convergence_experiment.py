@@ -14,7 +14,8 @@ import argparse
 import csv
 import sys
 
-from causalprod.kernel import ComplexParam, Interval
+from causalprod.config import RunConfig, parse_sizes
+from causalprod.kernel import ComplexParam
 from causalprod.product import convergence_study
 
 PARAMS = [
@@ -32,12 +33,15 @@ def main() -> int:
     ap.add_argument("--b", type=float, default=1.0)
     args = ap.parse_args()
 
-    ns = tuple(int(tok) for tok in args.n_list.split(","))
-    iv = Interval(args.a, args.b)
+    try:
+        cfg = RunConfig("converge", a=args.a, b=args.b, n_list=parse_sizes(args.n_list))
+    except ValueError as exc:
+        sys.stderr.write(f"invalid configuration: {exc}\n")
+        return 2
 
     rows = []
     for tag, nu in PARAMS:
-        study = convergence_study(ns, iv, nu)
+        study = convergence_study(cfg.n_list, cfg.interval, nu)
         for n, err, bound in zip(study.ns, study.max_errors, study.bounds):
             rows.append({"param": tag, "n": n, "max_error": err,
                          "bound": bound, "fitted_rate": study.fitted_rate})

@@ -15,13 +15,31 @@ MAX_PRODUCT_DIM = 512
 CONVERGE_DIM_CAP = 4096
 # verify's coefficient identity costs about s**8; s_max = 20 takes ~4 s
 VERIFY_IDENTITY_CAP = 20
-# verify's isometry check puts kernel.CHECK_NODES = 64 Gauss-Legendre nodes on panels as short
-# as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
+# binds verify only: its isometry check puts kernel.CHECK_NODES = 64 Gauss-Legendre nodes on panels
+# as short as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
 QUADRATURE_CELLS = 28_800
+
+# each command (RunConfig.command) with its limits: its --s-max cap, its --n-list cap (None where
+# it reads no such flag), and the finest division of [a, b) it makes (None where it divides nothing)
+LIMITS = {
+    "coeffs": (COEFF_TABLE_CAP, None, lambda cfg: None),
+    "verify": (VERIFY_IDENTITY_CAP, None, lambda cfg: QUADRATURE_CELLS),
+    "converge": (None, CONVERGE_DIM_CAP, lambda cfg: max(cfg.n_list)),
+    "kernel": (SERIES_CAP, None, lambda cfg: cfg.n + 1),
+}
+
+
+def parse_sizes(text: str) -> tuple[int, ...]:
+    """The sizes of a comma-separated --n-list such as "25,50,100"; empty tokens are refused."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"n_list must be comma-separated integers, got {text!r}") from None
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    command: str
     a: float = 0.0
     b: float = 1.0
     lam: float = 1.0
@@ -37,29 +55,25 @@ class RunConfig:
         for name in ("a", "b", "lam", "mu", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         # (b - a)|nu| scales every kernel argument; its square is the largest series argument
-        width, modulus = self.b - self.a, math.hypot(self.lam, self.mu)
+        width, modulus = self.interval.width, self.param.modulus  # Interval refuses b <= a
         if not math.isfinite((width * modulus) * (width * modulus)):
             raise ValueError(f"(b - a) * |nu| out of range, got b - a = {width}, |nu| = {modulus}")
         if self.tol <= 0:
             raise ValueError(f"need tol > 0, got {self.tol}")
-        if self.s_max < 0 or self.s_max > SERIES_CAP:
-            raise ValueError(f"s_max must be in [0, {SERIES_CAP}], got {self.s_max}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if not self.n_list:
-            raise ValueError("n_list must not be empty")
-        if min(self.n_list) < 2:
-            raise ValueError(f"every n in n_list must be >= 2, got {self.n_list}")
-        # the finest division of [a, b) any command makes: the kernel grid, converge's cells
-        # and the quadrature nodes of verify's isometry check
-        cells = max(max(self.n_list), self.n + 1, QUADRATURE_CELLS)
-        offset = max(abs(self.a), abs(self.b))
-        if width / cells < 4 * math.ulp(offset):
+        s_cap, n_cap, finest = LIMITS[self.command]
+        if s_cap is not None and not 0 <= self.s_max <= s_cap:
+            raise ValueError(f"{self.command} needs s_max in [0, {s_cap}], got {self.s_max}")
+        ns = self.n_list
+        if n_cap is not None and (len(ns) < 2 or min(ns) < 2 or max(ns) > n_cap
+                                  or any(b <= a for a, b in zip(ns, ns[1:]))):
+            raise ValueError(f"n_list needs 2+ strictly increasing sizes in [2, {n_cap}], got {ns}")
+        cells, offset = finest(self), max(abs(self.a), abs(self.b))
+        if cells is not None and width / cells < 4 * math.ulp(offset):
             raise ValueError(f"b - a = {width} is too narrow at |a|, |b| up to {offset}: "
                              f"steps of (b - a)/{cells} would round onto a or b")
 

@@ -144,45 +144,40 @@ def essential_order(path: LatticePath) -> EssentialOrder:
 
 
 def _extension_from_sequence(seq: tuple[Label, ...], order: EssentialOrder) -> LinearExtension:
-    pos = {lab: i for i, lab in enumerate(seq)}
-    r = pos[order.first]
-    r_prime = len(seq) - 1 - pos[order.last]
-    return LinearExtension(order=seq, rank=(r, r_prime), forward=pos[order.first] < pos[order.last])
+    r, last = seq.index(order.first), seq.index(order.last)
+    return LinearExtension(order=seq, rank=(r, len(seq) - 1 - last), forward=r < last)
 
 
-def _refinements(order: EssentialOrder, ties: bool) -> list[tuple[tuple[Label, ...], ...]]:
-    """Total preorders refining the order, as level sequences, lexicographically.
+def _refinements(order: EssentialOrder, ties: bool) -> list[tuple]:
+    """Total preorders refining the order, in lexicographic order of their classes.
 
-    Each level is one available class (all predecessors placed) or, when ``ties``
-    is set, two classes available together, i.e. incomparable.  Plain backtracking
+    Each step places one available class (all predecessors placed) or, with ``ties``,
+    two available together, i.e. incomparable.  With ``ties`` a refinement is its
+    sequence of level tuples, else the sequence of its classes.  Plain backtracking
     with no symmetry shortcuts, so it stays trustworthy as the counting oracle.
     """
     preds, labels = order.predecessors(), order.labels
-    out: list[tuple[tuple[Label, ...], ...]] = []
-    levels: list[tuple[Label, ...]] = []
-    placed: set[Label] = set()
+    out: list[tuple] = []
 
-    def rec() -> None:
+    def rec(placed: frozenset[Label], prefix: tuple) -> None:
         if len(placed) == len(labels):
-            out.append(tuple(levels))
+            out.append(prefix)
             return
-        avail = [lab for lab in labels if lab not in placed and preds[lab] <= placed]
-        for i, a in enumerate(avail):
-            for level in [(a,), *((a, b) for b in avail[i + 1:])] if ties else [(a,)]:
-                levels.append(level)
-                placed.update(level)
-                rec()
-                placed.difference_update(level)
-                levels.pop()
+        for i, a in enumerate(labels):
+            if a not in placed and preds[a] <= placed:
+                rec(placed | {a}, prefix + ((a,) if ties else a,))
+                # a later class b available alongside a is incomparable to it
+                for b in labels[i + 1:] if ties else ():
+                    if b not in placed and preds[b] <= placed:
+                        rec(placed | {a, b}, prefix + ((a, b),))
 
-    rec()
+    rec(frozenset(), ())
     return out
 
 
 def enumerate_linear_extensions(order: EssentialOrder) -> list[LinearExtension]:
     """All strict total orders refining the partial order, lexicographically."""
-    return [_extension_from_sequence(sum(levels, ()), order)
-            for levels in _refinements(order, ties=False)]
+    return [_extension_from_sequence(seq, order) for seq in _refinements(order, ties=False)]
 
 
 def enumerate_degenerate_orderings(order: EssentialOrder) -> list[DegenerateOrdering]:
@@ -191,4 +186,4 @@ def enumerate_degenerate_orderings(order: EssentialOrder) -> list[DegenerateOrde
     At least one tie is required; tie-free refinements are the linear extensions.
     """
     tied = (DegenerateOrdering(levels=levels) for levels in _refinements(order, ties=True))
-    return sorted((d for d in tied if d.degree), key=lambda d: d.levels)
+    return [d for d in tied if d.degree]

@@ -445,6 +445,8 @@ def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> Conv
     ArithmeticError rather than dropping out of the running maximum.
     """
     ns = tuple(ns)
+    if len(ns) < 2:
+        raise ValueError(f"a rate needs at least two sizes, got {ns}")
     if any(n < 2 for n in ns):
         raise ValueError(f"sizes must be >= 2, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):

@@ -100,7 +100,7 @@ def test_verify_detects_corrupted_table(tmp_path):
         val = forward_count_closed(m, n, p, q)
         return val + 1 if (m, n, p, q) == (1, 0, 1, 1) else val
 
-    cfg = RunConfig(s_max=3, out=str(tmp_path / "r.json"))
+    cfg = RunConfig("verify", s_max=3, out=str(tmp_path / "r.json"))
     assert cli.cmd_verify(cfg, forward_count=corrupted) == 1
     payload = _read_json(tmp_path / "r.json")
     bad = next(r for r in payload["rows"] if r["name"] == "unitarity_coefficient_identity")
@@ -112,7 +112,7 @@ def test_verify_detects_corrupted_table(tmp_path):
 def test_verify_detects_corruption_at_window_edges(tmp_path, at):
     from series_oracle import corrupted_count
 
-    cfg = RunConfig(s_max=8, out=str(tmp_path / "r.json"))
+    cfg = RunConfig("verify", s_max=8, out=str(tmp_path / "r.json"))
     assert cli.cmd_verify(cfg, forward_count=corrupted_count(at)) == 1
     payload = _read_json(tmp_path / "r.json")
     bad = next(r for r in payload["rows"] if r["name"] == "unitarity_coefficient_identity")
@@ -123,8 +123,23 @@ def test_verify_cap_refusal(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert _run(["verify", "--s-max", str(VERIFY_IDENTITY_CAP + 1), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("refusing:") and err.count("\n") == 1
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert str(VERIFY_IDENTITY_CAP) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["coeffs", "--s-max", "9"], 8),
+    (["verify", "--s-max", "21"], 20),
+    (["kernel", "--s-max", "41"], 40),
+    (["converge", "--n-list", "10,4097"], 4096),
+])
+def test_each_command_refuses_one_past_its_limit(tmp_path, capsys, argv, cap):
+    out = tmp_path / "a.json"
+    assert _run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert str(cap) in err
     assert not out.exists()
 
 
@@ -164,6 +179,10 @@ def test_converge_validation(tmp_path, capsys):
     ["--a=-1e308", "--b", "1e308"],
     ["--lambda", "1e200", "--b", "1e200"],
     ["--lambda", "1e308", "--mu", "1e308"],
+    ["--n-list", "64"],
+    ["--n-list", "4,,8"],
+    ["--n-list", ",4"],
+    ["--n-list", "4,8,"],
 ])
 def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert _run(["converge", *args, "--out", str(tmp_path / "s.json")]) == 2
@@ -180,13 +199,17 @@ def test_verify_non_finite_tol_refused(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+# narrow for its offset: (b - a)/28,800 is below 4 ulp(1e16) = 8, (b - a)/8 is not
+NARROW = ["--a", "1e16", "--b", "10000000000001600", "--lambda", "1e-10", "--mu", "0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--a=-1e308", "--b", "1e308", "--n", "3", "--s-max", "0"],
     ["verify", "--a=-1e308", "--b", "1e308", "--s-max", "2"],
     ["verify", "--a", "1e16", "--b", "1.0000000000000004e16"],
     ["kernel", "--a", "1e16", "--b", "1.0000000000000004e16", "--n", "3", "--s-max", "0"],
     ["converge", "--a", "1e16", "--b", "1.0000000000000004e16", "--n-list", "4,8"],
-    ["verify", "--a", "1e16", "--b", "10000000000001600", "--lambda", "1e-10", "--mu", "0"],
+    ["verify", *NARROW],
 ])
 def test_out_of_range_interval_refused(tmp_path, capsys, argv):
     # b - a overflows to inf, or is so narrow for its offset that grid points or
@@ -199,11 +222,14 @@ def test_out_of_range_interval_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify"],
-    ["converge", "--n-list", "64,4096"],
+    ["verify", "--a", "1e7", "--b", "10000001"],
+    ["converge", "--n-list", "64,4096", "--a", "1e7", "--b", "10000001"],
+    # too narrow for verify's quadrature nodes, but not for these commands' own divisions
+    ["kernel", "--n", "3", "--s-max", "0", *NARROW],
+    ["converge", "--n-list", "4,8", *NARROW],
 ])
 def test_narrow_interval_at_large_offset_runs(tmp_path, argv):
-    assert _run([*argv, "--a", "1e7", "--b", "10000001", "--out", str(tmp_path / "a.json")]) == 0
+    assert _run([*argv, "--out", str(tmp_path / "a.json")]) == 0
 
 
 def test_quadrature_cells_cover_the_check_nodes():
@@ -353,8 +379,8 @@ def test_unread_flags_are_argument_errors(tmp_path, capsys, argv):
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(tol=0.0)
+        RunConfig("verify", tol=0.0)
     with pytest.raises(ValueError):
-        RunConfig(fmt="xml")
+        RunConfig("verify", fmt="xml")
     with pytest.raises(ValueError):
-        RunConfig(s_max=99)
+        RunConfig("kernel", s_max=99)

@@ -242,6 +242,12 @@ def test_convergence_study_rejects_sizes_below_two():
         convergence_study((1, 2), IV, NU)
 
 
+def test_convergence_study_needs_two_sizes():
+    # a rate is fitted to the ladder, and one size would leave it undetermined
+    with pytest.raises(ValueError):
+        convergence_study((64,), IV, NU)
+
+
 def test_convergence_study_large_sizes():
     study = convergence_study((256, 512, 1024, 2048, 4096), IV, NU)
     assert all(e1 > e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))

@@ -30,6 +30,14 @@ def test_convergence_experiment(tmp_path):
     assert 0.9 <= rates["imaginary"] <= 1.1
 
 
+def test_convergence_experiment_refuses_a_bad_ladder(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = _run_script("convergence_experiment.py", "--n-list", "8,4", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid configuration:") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_full_verification(tmp_path):
     outdir = tmp_path / "artifacts"
     proc = _run_script("full_verification.py", "--outdir", str(outdir))
