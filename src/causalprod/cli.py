@@ -99,14 +99,12 @@ def cmd_verify(cfg: RunConfig,
     checks.append({"name": "catalan_recurrence", "params": "|m|,|n|,|p| <= 8",
                    "residual": float(failures), "tolerance": 0.0, "pass": failures == 0})
 
-    worst = 0
-    table = coeff.CountTable.for_identity(cfg.s_max, cfg.s_max + 2, forward_count)
-    for alpha in range(cfg.s_max + 1):
-        for beta in range(cfg.s_max + 1 - alpha):
-            for gamma in range(cfg.s_max + 1 - alpha - beta):
-                res = coeff.unitarity_identity_residuals(
-                    alpha, beta, gamma, alpha + beta + gamma + 2, table)
-                worst = max(worst, *map(abs, res))
+    triples, xi_max = coeff.identity_triples(cfg.s_max), cfg.s_max + 2
+    table = coeff.CountTable.for_identity(cfg.s_max, xi_max, forward_count)
+    res = coeff.unitarity_identity_residuals(triples, xi_max, table)
+    # each triple is checked for xi <= alpha + beta + gamma + 2
+    checked = np.arange(xi_max + 1) <= triples.sum(axis=1, keepdims=True) + 2
+    worst = int(np.abs(res[checked]).max())
     checks.append({"name": "unitarity_coefficient_identity",
                    "params": f"alpha+beta+gamma <= {cfg.s_max}",
                    "residual": float(worst), "tolerance": 0.0, "pass": worst == 0})

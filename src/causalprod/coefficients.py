@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .combinatorics import binomial
 from .config import COEFF_TABLE_CAP
 from .lattice import enumerate_linear_extensions, enumerate_paths, essential_order
@@ -157,22 +159,34 @@ def truncated_kernel(x: float, y: float, a: float, b: float, nu: complex,
     return total
 
 
+# every partial sum of the identity pass is bounded in float64 first; below this bound int64 is exact
+_EXACT_BOUND = 2.0 ** 62
+# 5-fold index tuples per step of the identity pass, counted before zero rows are dropped;
+# a step's arrays then stay near 1 MB however many triples the pass covers
+_CHUNK = 1 << 12
+
+
 class CountTable:
     """Forward counts count(m, n, p, q) for m + n + p <= w_max, q in [q_lo, q_hi].
 
-    Built once from a pure ``count`` function, in exact integers; each
-    (m, n, p) row keeps its nonzero (q, count) pairs in increasing q.
+    Built once from a pure ``count`` function, called on every index of the
+    window: ``counts[m, n, p, q - q_lo]`` is exact int64, and rows of weight
+    above w_max hold zeros that the identity never reads.  A count that does
+    not fit in int64 raises ArithmeticError.
     """
 
     def __init__(self, count: Callable[[int, int, int, int], int],
                  w_max: int, q_lo: int, q_hi: int) -> None:
         self.w_max, self.q_lo, self.q_hi = w_max, q_lo, q_hi
-        self._rows: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
-        for m in range(w_max + 1):
-            for n in range(w_max + 1 - m):
-                for p in range(w_max + 1 - m - n):
-                    vals = ((q, count(m, n, p, q)) for q in range(q_lo, q_hi + 1))
-                    self._rows[m, n, p] = tuple((q, c) for q, c in vals if c)
+        size = w_max + 1
+        self.counts = np.zeros((size, size, size, q_hi - q_lo + 1), dtype=np.int64)
+        for m in range(size):
+            for n in range(size - m):
+                for p in range(size - m - n):
+                    row = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
+                    if max(map(abs, row)) >= 2 ** 63:
+                        raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
+                    self.counts[m, n, p] = row
 
     @classmethod
     def for_identity(cls, w_max: int, xi_max: int,
@@ -195,90 +209,170 @@ class CountTable:
         q_lo, q_hi = min(-w_max - 1, 1 - xi_max), max(xi_max, w_max)
         return cls(count or forward_count_closed, w_max, q_lo, q_hi)
 
-    def row(self, m: int, n: int, p: int, lo: int, hi: int) -> tuple[tuple[int, int], ...]:
-        """Nonzero (q, count) pairs of row (m, n, p), complete for q in [lo, hi].
-
-        The row may hold pairs outside [lo, hi]; callers filter.  Raises
-        IndexError when the table lacks the row or its window misses part of
-        [lo, hi], so an entry that was never evaluated cannot read as zero.
-        """
-        if lo < self.q_lo or hi > self.q_hi or m + n + p > self.w_max:
-            raise IndexError(f"count({m}, {n}, {p}, q) for q in [{lo}, {hi}] is outside the "
-                             f"table (weight <= {self.w_max}, q in [{self.q_lo}, {self.q_hi}])")
-        return self._rows[m, n, p]
-
 
 @lru_cache(maxsize=None)
 def _closed_table(w: int, xi_max: int) -> CountTable:
     return CountTable.for_identity(w, xi_max)
 
 
-def unitarity_identity_residuals(
-    alpha: int,
-    beta: int,
-    gamma: int,
-    xi_max: int,
-    table: CountTable | None = None,
-) -> list[int]:
-    """Residuals of the unitarity coefficient identity for xi = 0..xi_max.
+def identity_triples(w_max: int) -> np.ndarray:
+    """Every (alpha, beta, gamma) >= 0 with alpha + beta + gamma <= w_max, one per row, in order."""
+    return np.array([(alpha, beta, gamma) for alpha in range(w_max + 1)
+                     for beta in range(w_max + 1 - alpha)
+                     for gamma in range(w_max + 1 - alpha - beta)], dtype=np.int64).reshape(-1, 3)
 
-    ``table`` is a :class:`CountTable` covering the triple (see
-    :meth:`CountTable.for_identity`), or None for the closed forms.  The five
-    outer loops and their binomial weights do not depend on xi, so they run
-    once for all xi: each nonzero left factor at t1 feeds every xi >= t1.
+
+def _spread(state: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column j of state repeated counts[j] times, under a new last row 0..counts[j]-1."""
+    counts = np.maximum(counts, 0)
+    starts = np.cumsum(counts) - counts
+    local = np.arange(counts.sum()) - np.repeat(starts, counts)
+    return np.vstack([np.repeat(state, counts, axis=1), local])
+
+
+def _check_bound(bound, what: str) -> None:
+    if np.max(bound, initial=0.0) >= _EXACT_BOUND:
+        raise ArithmeticError(f"{what} may reach 2**62; int64 would not stay exact")
+
+
+def _segment_sums(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct owners of a sorted owner array and the sum of values over each one's run."""
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return owner[starts], np.add.reduceat(values, starts, axis=0)
+
+
+def _pair_table(tab: np.ndarray, size: int, q_lo: int, w: int,
+                xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The q-correlation of every (left row, right row) pair of total weight below w.
+
+    The 5-fold sum pairs the left row (m1, n1 + beta - m2, p1) with the right
+    row (m2 + alpha - m1, n2, p2), where n1 + n2 + p1 + p2 = gamma - 1.  So
+    its k = alpha + gamma - m1 + m2 - n1 - p1 is w_R + 1 for the right row's
+    weight w_R, and the pair alone fixes
+
+        P[xi] = sum_{t1 = 0..xi} L[t1] * R[w_R + 1 - xi + t1],   xi = 0..xi_max.
+
+    Rows whose read window is all zero are left out.  The pairs of each left
+    row are all nonzero right rows of weight <= w - 1 - w_L, a prefix of the
+    right rows in order of weight, so pair (l, r) sits at ``offset[l] + r``
+    with ``l = left[row]`` and ``r = right[row]`` (-1 for a zero row).
+    Returns (P, offset, left, right) with P of shape (pairs, xi_max + 1).
     """
-    if min(alpha, beta, gamma) < 0 or xi_max < 0:
+    span = np.arange(xi_max + 1)
+    rows = np.array([(m, n, c - m - n) for c in range(w) for m in range(c + 1)
+                     for n in range(c + 1 - m)], dtype=np.int64).reshape(-1, 3)
+    weight = rows.sum(axis=1)
+    flat = (rows[:, 0] * size + rows[:, 1]) * size + rows[:, 2]
+    lvec = tab[flat][:, -q_lo:xi_max + 1 - q_lo]
+    rvec = tab[flat[:, None], (weight + 1 - q_lo)[:, None] - span]  # R[w_R + 1 - j] at column j
+    lnz, rnz = lvec.any(axis=1), rvec.any(axis=1)
+    lvec, lw = lvec[lnz], weight[lnz]
+    rvec, rw = rvec[rnz], weight[rnz]
+    left = np.full(size ** 3, -1)
+    left[flat[lnz]] = np.arange(lw.size)
+    right = np.full(size ** 3, -1)
+    right[flat[rnz]] = np.arange(rw.size)
+    prefix = np.searchsorted(rw, w - 1 - lw, side="right")
+    offset = np.cumsum(prefix) - prefix
+    pairs = np.zeros((prefix.sum(), xi_max + 1), dtype=np.int64)
+    rmax = np.abs(rvec.astype(float)).max(axis=1, initial=0.0)
+    for wl in range(w):
+        lo, hi = np.searchsorted(lw, (wl, wl + 1))
+        nr = prefix[lo] if hi > lo else 0
+        if nr == 0:
+            continue
+        lv, rv = lvec[lo:hi], rvec[:nr]
+        _check_bound(np.abs(lv.astype(float)).sum(axis=1).max() * rmax[:nr].max(),
+                     f"a q-correlation of weight-{wl} left rows")
+        block = pairs[offset[lo]:offset[lo] + (hi - lo) * nr].reshape(hi - lo, nr, xi_max + 1)
+        for t1 in np.flatnonzero(lv.any(axis=0)):
+            block[:, :, t1:] += lv[:, t1, None, None] * rv[None, :, :xi_max + 1 - t1]
+    return pairs, offset, left, right
+
+
+def unitarity_identity_residuals(triples, xi_max: int, table: CountTable) -> np.ndarray:
+    """Residuals of the unitarity coefficient identity, exact, for xi = 0..xi_max.
+
+    Row i holds the residuals of triples[i] = (alpha, beta, gamma); ``table``
+    must cover every triple (see :meth:`CountTable.for_identity`), else
+    IndexError, so that an entry never evaluated cannot read as zero.  One
+    pass serves every triple: the q-correlations of the 5-fold sum are formed
+    once per (left row, right row) pair (see :func:`_pair_table`), the index
+    tuples of both multi-sums are enumerated in fixed-size chunks of triples
+    by repeat expansions, tuples whose left or right row is zero are dropped,
+    and each triple's terms are added as one segment.  Every partial sum is
+    bounded in float64 first; a bound of 2**62 or more raises ArithmeticError
+    rather than let int64 wrap.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    if xi_max < 0 or (triples < 0).any():
         raise ValueError("indices must be >= 0")
-    if table is None:
-        table = _closed_table(alpha + beta + gamma, xi_max)
-    X = xi_max
-    out = [0] * (X + 1)
-    comb = math.comb
+    alpha, beta, gamma = triples.T
+    w, X, size = int(triples.sum(axis=1).max(initial=0)), xi_max, table.w_max + 1
+    if w > table.w_max or min(-w - 1, 1 - X) < table.q_lo or max(X, w) > table.q_hi:
+        raise IndexError(f"the identity at weight {w}, xi <= {X} reads count(m, n, p, q) for "
+                         f"q in [{min(-w - 1, 1 - X)}, {max(X, w)}], outside the table "
+                         f"(weight <= {table.w_max}, q in [{table.q_lo}, {table.q_hi}])")
+    tab = table.counts.reshape(size ** 3, -1)
+    span = np.arange(X + 1)
+    comb = np.array([[math.comb(n, k) for k in range(w + 1)] for n in range(w + 1)], dtype=np.int64)
+    rowmax = np.abs(tab.astype(float)).max(axis=1)
+    pairs, offset, left, right = _pair_table(tab, size, table.q_lo, w, X)
+    pmax = np.abs(pairs).max(axis=1, initial=0).astype(float)
 
-    for q, c in table.row(alpha, beta, gamma, 0, X):
-        if 0 <= q <= X:
-            out[q] += c
-    if beta == 0 and alpha == gamma and alpha + 1 <= X:
-        out[alpha + 1] -= 1
-    if alpha == beta + gamma + 1 and alpha <= X:
-        out[alpha] -= comb(alpha + gamma - 1, gamma)
+    # count(alpha, beta, gamma, xi) and the two delta terms
+    out = tab[(alpha * size + beta) * size + gamma][:, -table.q_lo:X + 1 - table.q_lo].copy()
+    first = (beta == 0) & (alpha == gamma) & (alpha + 1 <= X)
+    second = (alpha == beta + gamma + 1) & (alpha <= X)
+    second_c = comb[np.maximum(alpha + gamma - 1, 0), gamma]
+    bound = np.abs(out.astype(float)).max(axis=1, initial=0.0) + 1.0 + second_c * second
 
-    for m in range(alpha + 1):
-        cm = comb(alpha, m)
-        for p in range(gamma - alpha + m + 1):
-            cmp = cm * comb(gamma, p)
-            shift = gamma - p + 1  # xi = q + shift
-            for n in range(alpha + beta - gamma - m + p):
-                c = cmp * comb(gamma - alpha + m + n - p, n)
-                for q, v in table.row(m, n, alpha + beta - gamma - m - n + 2 * p - 1,
-                                      -shift, X - shift):
-                    if 0 <= q + shift <= X:
-                        out[q + shift] -= c * v
+    work = (alpha + 1) * (beta + 1) * gamma * (gamma + 1) * (gamma + 2) // 6
+    chunk = (np.cumsum(work) - work) // _CHUNK
+    cuts = np.flatnonzero(np.diff(chunk, prepend=-1))
+    for lo, hi in zip(cuts, [*cuts[1:], len(triples)]):
+        st = np.vstack([np.arange(lo, hi), alpha[lo:hi], beta[lo:hi], gamma[lo:hi]])
 
-    for m1 in range(alpha + 1):
-        ca = comb(alpha, m1)
-        for m2 in range(beta + 1):
-            cb = ca * comb(beta, m2)
-            k_base = alpha + gamma - m1 + m2
-            for n1 in range(gamma):
-                for n2 in range(gamma - n1):
-                    cn = cb * comb(n1 + n2, n1)
-                    for p1 in range(gamma - n1 - n2):
-                        left = table.row(m1, n1 + beta - m2, p1, 0, X)
-                        if not left:
-                            continue
-                        # the right factor's q is k - (xi - t1), and (-1)**k is the sign
-                        k = k_base - n1 - p1
-                        cp = (-1 if k % 2 else 1) * cn * comb(gamma - 1 - n1 - n2, p1)
-                        right = table.row(m2 + alpha - m1, n2, gamma - 1 - n1 - n2 - p1, k - X, k)
-                        for t1, lv in left:
-                            if not 0 <= t1 <= X:
-                                continue
-                            cl = cp * lv
-                            for r, rv in right:
-                                xi = k + t1 - r
-                                if t1 <= xi <= X:
-                                    out[xi] += cl * rv
+        # triple sum: -C(alpha,m) C(gamma-alpha+m+n-p, n) C(gamma,p) count(m, n, .., xi-gamma+p-1)
+        s3 = _spread(st, st[1] + 1)                                  # m
+        s3 = _spread(s3, s3[3] - s3[1] + s3[4] + 1)                  # p
+        s3 = _spread(s3, s3[1] + s3[2] - s3[3] - s3[4] + s3[5])      # n
+        i3, a3, b3, g3, m, p, n = s3
+        row3 = (m * size + n) * size + (a3 + b3 - g3 - m - n + 2 * p - 1)
+        c3 = comb[a3, m] * comb[g3 - a3 + m + n - p, n] * comb[g3, p]
+
+        # 5-fold sum, left row (m1, n1 + beta - m2, p1) first, then n2 and the right row
+        s5 = _spread(st, st[1] + 1)                                  # m1
+        s5 = _spread(s5, s5[2] + 1)                                  # m2
+        s5 = _spread(s5, s5[3])                                      # n1
+        s5 = _spread(s5, s5[3] - s5[6])                              # p1
+        _, _, b5, _, m1, m2, n1, p1 = s5
+        lrow = left[(m1 * size + n1 + b5 - m2) * size + p1]
+        i5, a5, b5, g5, m1, m2, n1, p1 = s5[:, lrow >= 0]
+        lrow = lrow[lrow >= 0]
+        d, e = a5 - m1 + m2, g5 - 1 - n1 - p1  # right row (d, n2, e - n2) has weight d + e
+        sign = 1 - 2 * ((d + e + 1) % 2)
+        s5 = _spread(np.vstack([i5, sign * comb[a5, m1] * comb[b5, m2], offset[lrow],
+                                d, e, n1, p1]), e + 1)               # n2
+        i5, c5, base, d, e, n1, p1, n2 = s5
+        rrow = right[(d * size + n2) * size + e - n2]
+        keep = rrow >= 0
+        i5, n1, n2, p1, e = i5[keep], n1[keep], n2[keep], p1[keep], e[keep]
+        c5 = c5[keep] * comb[n1 + n2, n1] * comb[e + p1 - n2, p1]
+        pair = base[keep] + rrow[keep]
+
+        for owner, b in (_segment_sums(i3, np.abs(c3) * rowmax[row3]),
+                         _segment_sums(i5, np.abs(c5) * pmax[pair])):
+            bound[owner] += b
+        _check_bound(bound[lo:hi], "an identity residual")
+        owner, s = _segment_sums(
+            i3, c3[:, None] * tab[row3[:, None], (p - g3 - 1 - table.q_lo)[:, None] + span])
+        out[owner] -= s
+        owner, s = _segment_sums(i5, c5[:, None] * pairs[pair])
+        out[owner] += s
+
+    out[first, np.minimum(alpha + 1, X)[first]] -= 1
+    out[second, np.minimum(alpha, X)[second]] -= second_c[second]
     return out
 
 
@@ -296,10 +390,12 @@ def unitarity_identity_residual(
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
     ``forward_count`` hook exists so verification runs can inject a corrupted
     table as a negative control.  It must be a pure function: it is
-    tabulated once, on a superset of the indices the multi-sum reads.
+    tabulated once, on a superset of the indices the multi-sum reads.  This
+    is the one-triple call of :func:`unitarity_identity_residuals`.
     """
-    if xi < 0:
+    if min(alpha, beta, gamma, xi) < 0:
         raise ValueError("indices must be >= 0")
-    table = (None if forward_count is None
-             else CountTable.for_identity(alpha + beta + gamma, xi, forward_count))
-    return unitarity_identity_residuals(alpha, beta, gamma, xi, table)[xi]
+    w = alpha + beta + gamma
+    table = (_closed_table(w, xi) if forward_count is None
+             else CountTable.for_identity(w, xi, forward_count))
+    return int(unitarity_identity_residuals([(alpha, beta, gamma)], xi, table)[0, xi])

@@ -13,7 +13,8 @@ SERIES_CAP = 40
 # product (apply_product, hence converge and bilinear_form).
 MAX_PRODUCT_DIM = 512
 CONVERGE_DIM_CAP = 4096
-# verify's coefficient identity costs about s**8; s_max = 20 takes ~4 s
+# verify's coefficient identity is one exact int64 pass over every triple: ~8 ms at
+# s_max = 10 and ~0.33 s at 20 on a 2-vCPU host, ~17 MB of numpy arrays at its peak
 VERIFY_IDENTITY_CAP = 20
 # binds verify only: its isometry check puts kernel.CHECK_NODES = 64 Gauss-Legendre nodes on panels
 # as short as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
@@ -30,11 +31,15 @@ LIMITS = {
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
-    """The sizes of a comma-separated --n-list such as "25,50,100"; empty tokens are refused."""
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"n_list must be comma-separated integers, got {text!r}") from None
+    """The sizes of a comma-separated --n-list such as "25,50,100".
+
+    Each token is ASCII digits only, so an empty token, a sign, a space or an
+    underscore (all but the first accepted by int()) is refused.
+    """
+    tokens = text.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"n_list must be comma-separated integers, got {text!r}")
+    return tuple(map(int, tokens))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ not bounded.  It grows with xy: B_0(x, x) is off by ~1e-10 at xy = 100, by
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,8 +198,16 @@ def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray
 
 
 def _result(values: np.ndarray) -> complex | np.ndarray:
-    """A Python complex for a scalar evaluation, else the complex array."""
-    return complex(values) if np.ndim(values) == 0 else values
+    """A Python complex for a scalar evaluation, else the complex array.
+
+    A non-finite value raises ArithmeticError: e.g. nu + conj(nu) overflows
+    for lam near the float64 limit although (b - a)|nu| is small.
+    """
+    scalar = np.ndim(values) == 0
+    out = complex(values) if scalar else values
+    if not (cmath.isfinite(out) if scalar else np.isfinite(out).all()):
+        raise ArithmeticError("a kernel value is not finite")
+    return out
 
 
 def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
@@ -217,12 +226,16 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     if r == 0.0:
         return _result(np.zeros(x.shape, dtype=complex))
     v = nu.value
-    total = v * _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol)
-    total += r * _bessel_b(1, iv.width * r, (y - x) * r, tol)
-    two_lam = v + v.conjugate()
-    if two_lam != 0:
-        acc = _order_sum(((y - x) * r).ravel(), iv.width * r, v.conjugate() / r, tol)
-        total -= two_lam * acc.reshape(x.shape)
+    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+    b1 = _bessel_b(1, iv.width * r, (y - x) * r, tol)
+    two_lam = v + v.conjugate()  # inf for lam near the float64 limit
+    acc = 0.0 if two_lam == 0 else _order_sum(((y - x) * r).ravel(), iv.width * r,
+                                              v.conjugate() / r, tol).reshape(x.shape)
+    # numpy may flag overflow in a product whose value is finite; _result judges the total
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = v * b0
+        total += r * b1
+        total -= two_lam * acc
     return _result(total)
 
 
@@ -234,7 +247,9 @@ def kernel_anticausal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval
     r = nu.modulus
     if r == 0.0:
         return _result(np.zeros(x.shape, dtype=complex))
-    return _result(nu.value * _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol))
+    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # _result refuses a non-finite value
+        return _result(nu.value * b0)
 
 
 def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,

@@ -119,6 +119,31 @@ def test_verify_detects_corruption_at_window_edges(tmp_path, at):
     assert bad["pass"] == 0 and bad["residual"] > 0
 
 
+def test_verify_refuses_identity_overflow(tmp_path, capsys, monkeypatch):
+    """A count of 2**61 could carry the exact int64 sums past range: exit 1, no artifact."""
+    from causalprod import coefficients
+
+    closed = coefficients.forward_count_closed
+
+    def huge(m, n, p, q):
+        return 2 ** 61 if (m, n, p, q) == (1, 0, 1, 1) else closed(m, n, p, q)
+
+    monkeypatch.setattr(coefficients, "forward_count_closed", huge)
+    out = tmp_path / "r.json"
+    assert _run(["verify", "--s-max", "6", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_at_its_cap(tmp_path):
+    out = tmp_path / "r.json"
+    assert _run(["verify", "--s-max", str(VERIFY_IDENTITY_CAP), "--out", str(out)]) == 0
+    row = next(r for r in _read_json(out)["rows"] if r["name"] == "unitarity_coefficient_identity")
+    assert row["params"] == f"alpha+beta+gamma <= {VERIFY_IDENTITY_CAP}"
+    assert row["pass"] == 1 and row["residual"] == 0.0
+
+
 def test_verify_cap_refusal(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert _run(["verify", "--s-max", str(VERIFY_IDENTITY_CAP + 1), "--out", str(out)]) == 2
@@ -183,6 +208,10 @@ def test_converge_validation(tmp_path, capsys):
     ["--n-list", "4,,8"],
     ["--n-list", ",4"],
     ["--n-list", "4,8,"],
+    # int() would take each of these tokens; a size is ASCII digits only
+    ["--n-list", "1_0,20"],
+    ["--n-list", "+4,20"],
+    ["--n-list", " 4,20"],
 ])
 def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert _run(["converge", *args, "--out", str(tmp_path / "s.json")]) == 2

@@ -8,6 +8,7 @@ from causalprod.coefficients import (
     causal_series,
     forward_count_brute,
     forward_count_closed,
+    identity_triples,
     reversed_count_brute,
     reversed_count_closed,
     truncated_kernel,
@@ -150,36 +151,36 @@ def test_identity_residual_detects_corruption():
     assert unitarity_identity_residual(1, 0, 1, 1, forward_count=corrupted) != 0
 
 
-def identity_triples(s):
-    return [(alpha, beta, gamma) for alpha in range(s + 1) for beta in range(s + 1 - alpha)
-            for gamma in range(s + 1 - alpha - beta)]
-
-
 # (1, 0, 1, 1): a nonzero entry of low weight;
 # (0, 0, 0, -5): negative q, read for s <= 8 only as the right-hand factor;
 # (0, 8, 0, 10): q = s + 2, the top edge of the table window at s = 8
 IDENTITY_CORRUPTIONS = [(1, 0, 1, 1), (0, 0, 0, -5), (0, 8, 0, 10)]
 
 
+def test_identity_triples_order():
+    triples = identity_triples(8)
+    assert len(triples) == 165 and triples.sum(axis=1).max() == 8
+    assert [tuple(t) for t in triples] == sorted(map(tuple, triples))
+    assert identity_triples(0).tolist() == [[0, 0, 0]]
+
+
 @pytest.mark.parametrize("at", [None, *IDENTITY_CORRUPTIONS])
 def test_identity_batched_matches_slow_oracle(at):
     count = forward_count_closed if at is None else corrupted_count(at)
-    table = CountTable.for_identity(8, 10, count)
-    nonzero = 0
-    for alpha, beta, gamma in identity_triples(8):
-        xi_max = alpha + beta + gamma + 2
-        fast = unitarity_identity_residuals(alpha, beta, gamma, xi_max, table)
-        assert fast == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
-                        for xi in range(xi_max + 1)]
-        nonzero += any(fast)
-    assert (nonzero == 0) == (at is None)
+    triples = identity_triples(8)
+    fast = unitarity_identity_residuals(triples, 10, CountTable.for_identity(8, 10, count))
+    assert fast.shape == (len(triples), 11)
+    for (alpha, beta, gamma), row in zip(triples.tolist(), fast.tolist()):
+        assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+                       for xi in range(11)]
+    assert fast.any() == (at is not None)
 
 
 @pytest.mark.parametrize("at", [None, (1, 0, 1, 1), (0, 0, 0, -3)])
 def test_identity_scalar_matches_slow_oracle(at):
     hook = None if at is None else corrupted_count(at)
     count = hook or forward_count_closed
-    for alpha, beta, gamma in identity_triples(4):
+    for alpha, beta, gamma in identity_triples(4).tolist():
         for xi in range(9):
             assert unitarity_identity_residual(alpha, beta, gamma, xi, hook) == \
                 unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
@@ -188,17 +189,39 @@ def test_identity_scalar_matches_slow_oracle(at):
 def test_identity_table_window_guard():
     full = CountTable.for_identity(4, 6)
     assert (full.q_lo, full.q_hi) == (-5, 6)
-    assert unitarity_identity_residuals(0, 0, 4, 6, full) == [0] * 7
+    assert not unitarity_identity_residuals([(0, 0, 4)], 6, full).any()
     for q_lo, q_hi in ((-4, 6), (-5, 5)):
         short = CountTable(forward_count_closed, 4, q_lo, q_hi)
         with pytest.raises(IndexError):
-            unitarity_identity_residuals(0, 0, 4, 6, short)
+            unitarity_identity_residuals([(0, 0, 4)], 6, short)
+        with pytest.raises(IndexError):  # one short triple refuses the whole call
+            unitarity_identity_residuals(identity_triples(4), 6, short)
     with pytest.raises(IndexError):
-        unitarity_identity_residuals(3, 1, 1, 7, full)  # rows of weight 5
+        unitarity_identity_residuals([(3, 1, 1)], 7, full)  # rows of weight 5
     with pytest.raises(IndexError):
-        unitarity_identity_residuals(2, 1, 1, 7, full)  # xi beyond the window
-    with pytest.raises(IndexError):
-        full.row(0, 0, 0, -6, 0)
+        unitarity_identity_residuals([(2, 1, 1)], 7, full)  # xi beyond the window
+
+
+def _count_with(at, value):
+    def count(m, n, p, q):
+        return value if (m, n, p, q) == at else forward_count_closed(m, n, p, q)
+    return count
+
+
+def test_identity_overflow_guard_refuses():
+    """A count of 2**61 lifts the bound on the int64 sums to 2**62: refused, never wrapped."""
+    count = _count_with((1, 0, 1, 1), 2 ** 61)
+    table = CountTable.for_identity(6, 8, count)
+    with pytest.raises(ArithmeticError):
+        unitarity_identity_residuals(identity_triples(6), 8, table)
+    with pytest.raises(ArithmeticError):
+        unitarity_identity_residual(2, 0, 2, 3, count)
+    with pytest.raises(ArithmeticError):  # does not fit in int64 at all
+        CountTable.for_identity(2, 4, _count_with((1, 0, 1, 1), 2 ** 63))
+    # far below the bound the same corruption is a residual like any other
+    count = _count_with((1, 0, 1, 1), 2 ** 40)
+    assert unitarity_identity_residual(2, 0, 2, 3, count) == \
+        unitarity_identity_residual_slow(2, 0, 2, 3, count) != 0
 
 
 def test_isometry_series_oracle_exact():

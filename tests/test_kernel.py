@@ -95,6 +95,20 @@ def test_kernel_zero_parameter():
     assert isometry_residual(0.3, 0.6, IV, zero) == 0j
 
 
+def test_kernel_refuses_non_finite_value(monkeypatch):
+    # (b - a)|nu| is about 14, but nu + conj(nu) = 2e308 overflows
+    iv, huge = Interval(0.0, 1e-307), ComplexParam(1e308, 1e308)
+    with pytest.raises(ArithmeticError):
+        kernel_causal(1e-307 / 3, 2e-307 / 3, iv, huge)
+    with pytest.raises(ArithmeticError):
+        limit_kernel(1e-307 / 3, 2e-307 / 3, iv, huge)
+    with pytest.raises(ArithmeticError):
+        limit_kernel([1e-307 / 3, 2e-307 / 3], [2e-307 / 3, 1e-307 / 3], iv, huge)
+    monkeypatch.setattr(kernel, "_bessel_b", lambda *args: math.inf)
+    with pytest.raises(ArithmeticError):
+        kernel_anticausal(0.8, 0.2, IV, NU)
+
+
 def test_kernel_leading_order_small_interval():
     tiny = Interval(0.0, 1e-4)
     f = kernel_causal(2e-5, 8e-5, tiny, NU)
