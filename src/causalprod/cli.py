@@ -109,20 +109,19 @@ def cmd_verify(cfg: RunConfig,
                    "params": f"alpha+beta+gamma <= {cfg.s_max}",
                    "residual": float(worst), "tolerance": 0.0, "pass": worst == 0})
 
-    fracs = ((0.15, 0.45), (0.25, 0.75), (0.4, 0.6), (0.1, 0.9), (0.55, 0.85))
-    iso = max(abs(ker.isometry_residual(iv.a + u * iv.width, iv.a + v * iv.width, iv, nu))
-              for u, v in fracs)
+    u, v = np.array(((0.15, 0.25, 0.4, 0.1, 0.55), (0.45, 0.75, 0.6, 0.9, 0.85)))
+    iso = float(np.abs(ker.isometry_residual(iv.a + u * iv.width, iv.a + v * iv.width,
+                                             iv, nu)).max())
     checks.append({"name": "isometry_identity", "params": f"nu={nu.value}, 5 points",
                    "residual": iso, "tolerance": cfg.tol, "pass": iso < cfg.tol})
 
-    lom = max(ker.lommel_residual(al, be, x)
-              for al, be in ((1.0, 2.0), (0.5, 1.5), (3.0, 1.0))
-              for x in (0.5, 1.0, 2.0))
+    alpha, beta = np.array([[1.0], [0.5], [3.0]]), np.array([[2.0], [1.5], [1.0]])
+    lom = float(ker.lommel_residual(alpha, beta, np.array([0.5, 1.0, 2.0])).max())
     checks.append({"name": "lommel_integral", "params": "3x3 grid",
                    "residual": lom, "tolerance": cfg.tol, "pass": lom < cfg.tol})
 
-    sg = max(ker.sonine_gegenbauer_residual(be, z)
-             for be in (0.5, 1.0, 2.0) for z in (0.4, 1.0, 1.6))
+    sg = float(ker.sonine_gegenbauer_residual(np.array([[0.5], [1.0], [2.0]]),
+                                              np.array([0.4, 1.0, 1.6])).max())
     checks.append({"name": "sonine_gegenbauer_integral", "params": "3x3 grid",
                    "residual": sg, "tolerance": cfg.tol, "pass": sg < cfg.tol})
 

@@ -20,13 +20,18 @@ VERIFY_IDENTITY_CAP = 20
 # as short as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
 QUADRATURE_CELLS = 28_800
 
-# each command (RunConfig.command) with its limits: its --s-max cap, its --n-list cap (None where
-# it reads no such flag), and the finest division of [a, b) it makes (None where it divides nothing)
+# kernel evaluates an n x n grid one point per call: ~0.16 ms per point at --s-max 0 and ~18 ms
+# with the --s-max 40 series comparison (2-vCPU host), so --n 128 takes ~2.6 s and ~5 min there
+KERNEL_GRID_CAP = 128
+
+# each command (RunConfig.command) with its limits: its --s-max cap, its --n cap and its --n-list
+# cap (None where it reads no such flag), and the finest division of [a, b) it makes (None where
+# it divides nothing)
 LIMITS = {
-    "coeffs": (COEFF_TABLE_CAP, None, lambda cfg: None),
-    "verify": (VERIFY_IDENTITY_CAP, None, lambda cfg: QUADRATURE_CELLS),
-    "converge": (None, CONVERGE_DIM_CAP, lambda cfg: max(cfg.n_list)),
-    "kernel": (SERIES_CAP, None, lambda cfg: cfg.n + 1),
+    "coeffs": (COEFF_TABLE_CAP, None, None, lambda cfg: None),
+    "verify": (VERIFY_IDENTITY_CAP, None, None, lambda cfg: QUADRATURE_CELLS),
+    "converge": (None, None, CONVERGE_DIM_CAP, lambda cfg: max(cfg.n_list)),
+    "kernel": (SERIES_CAP, KERNEL_GRID_CAP, None, lambda cfg: cfg.n + 1),
 }
 
 
@@ -70,13 +75,16 @@ class RunConfig:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        s_cap, n_cap, finest = LIMITS[self.command]
+        s_cap, n_cap, list_cap, finest = LIMITS[self.command]
         if s_cap is not None and not 0 <= self.s_max <= s_cap:
             raise ValueError(f"{self.command} needs s_max in [0, {s_cap}], got {self.s_max}")
+        if n_cap is not None and self.n > n_cap:
+            raise ValueError(f"{self.command} needs n in [1, {n_cap}], got {self.n}")
         ns = self.n_list
-        if n_cap is not None and (len(ns) < 2 or min(ns) < 2 or max(ns) > n_cap
-                                  or any(b <= a for a, b in zip(ns, ns[1:]))):
-            raise ValueError(f"n_list needs 2+ strictly increasing sizes in [2, {n_cap}], got {ns}")
+        if list_cap is not None and (len(ns) < 2 or min(ns) < 2 or max(ns) > list_cap
+                                     or any(b <= a for a, b in zip(ns, ns[1:]))):
+            raise ValueError(f"n_list needs 2+ strictly increasing sizes in [2, {list_cap}], "
+                             f"got {ns}")
         cells, offset = finest(self), max(abs(self.a), abs(self.b))
         if cells is not None and width / cells < 4 * math.ulp(offset):
             raise ValueError(f"b - a = {width} is too narrow at |a|, |b| up to {offset}: "

@@ -7,16 +7,21 @@ The building block is the entire two-variable series
 
 together with its one-variable profile G_j(x) = J_j(2 sqrt(x)) / x^{j/2}.
 Both are partial sums of one alternating series, which ``_alt_series``
-evaluates elementwise over numpy arrays; the kernels and the quadrature checks
-pass whole Gauss-Legendre panels through it.  Each call sizes its block up
-front from a-priori bounds: the term count from |term_n| <= max|first|
-max|z|^n / n!^2, and the kernel's order count from |B_q(x, y)| <= x^q / q!.
-The stopping rule bounds the truncation error only: once the term ratio drops
-below 1/2 the remaining tail is dominated by the last term, so stopping at
-|term| <= tol * max(1, |sum|) keeps the truncation error below the requested
-tolerance.  Rounding error from cancellation between the alternating terms is
-not bounded.  It grows with xy: B_0(x, x) is off by ~1e-10 at xy = 100, by
-~1e-5 at xy = 225 and in every digit at xy = 400 (ROADMAP item 1).
+evaluates elementwise over numpy arrays, sizing its block up front from
+|term_n| <= max|first| max|z|^n / n!^2.  The causal kernel's order sum
+sum_q B_q(x, y) phase^q is the same double series summed by total degree
+(``_order_sum``); it refuses (y - x)|nu| past ~53.5 at tol 1e-12.  The
+quadrature checks evaluate the Gauss-Legendre panels of all their points in
+one call per integral.
+
+Every stopping rule bounds the truncation error only: once the term ratio
+drops below 1/2 the remaining tail is of the order of the last term's bound,
+so stopping once that bound is at most tol/2 keeps the truncation error of
+the order of tol.  Rounding error from cancellation between the alternating
+terms is not bounded.  It grows with xy: B_0(x, x) is off by ~1e-10 at
+xy = 100, by ~1e-5 at xy = 225 and in every digit at xy = 400 (ROADMAP
+item 1).  The order sum alone refuses terms past 2^64, where the rounding
+error bound passes 2^11.
 """
 from __future__ import annotations
 
@@ -32,7 +37,8 @@ DEFAULT_TOL = 1e-12
 CHECK_NODES = 64  # Gauss-Legendre nodes per panel of the integral-identity checks
 _MAX_TERMS = 600
 _MAX_ORDER = 170  # largest q whose q! is a finite float64
-_FACTORIALS = np.array([math.factorial(q) for q in range(_MAX_ORDER + 1)], dtype=float)
+# the order sum refuses terms past 2^64: rounding them leaves an error bound of 2^11
+_MAX_TERM_BOUND = 2.0**64
 
 
 @dataclass(frozen=True)
@@ -153,37 +159,74 @@ def bessel_profile(j: int, x: float, tol: float = DEFAULT_TOL) -> float:
     return float(_profile(j, x, tol))
 
 
-def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.ndarray:
-    """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x, 0 <= x <= y.
+def _order_coefficients(x_max: float, y: float, phase_bar: complex,
+                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar recurrence of _order_sum, run to the degree M of its widest point x_max.
 
-    Each point's sum stops after its first three consecutive |B_q| < tol.  As
-    |B_q(x, y)| <= x^q / q!, every order from the first Q >= max x with
-    (max x)^Q / Q! < tol is below tol, so orders 0..Q+2 are evaluated at every
-    point in one (q x point) block.  Q + 2 past _MAX_ORDER, or a point without
-    three quiet orders in the block, raises ArithmeticError.  The terms are
-    added in order of q, as a point-by-point loop would.
+    Returns ratio[m] = s_m / s_{m-1} (ratio[0] = 1) and coef[m] = (-1)^m c_m / s_m,
+    m = 0..M, where s_m = sum_{n<=m} y^n / n!.  Raises ArithmeticError past the
+    order sum's reach, for a degree past _MAX_TERMS, and once t_m at x_max
+    passes _MAX_TERM_BOUND.
     """
-    x_max = float(x.max(initial=0.0))
     top, bound = 0, 1.0  # bound = x_max^top / top!
     while not (top >= x_max and bound < tol):
         top += 1
         if top + 2 > _MAX_ORDER:
             raise ArithmeticError(f"order sum at x = {x_max:.6g} needs orders past {_MAX_ORDER}")
         bound *= x_max / top
-    q = np.arange(top + 3)[:, None]
-    with np.errstate(over="ignore"):
-        first = (-x) ** q / _FACTORIALS[:top + 3, None]
-    b = _alt_series(first, x * y, q, tol)
-    quiet = np.abs(b) < tol
-    run = quiet[:-2] & quiet[1:-1] & quiet[2:]
-    settled = run.any(axis=0)
-    if not settled.all():
-        raise ArithmeticError(f"order sum at x = {x[settled.argmin()]:.6g} did not settle")
-    stop = run.argmax(axis=0) + 2
-    weight = np.full((top + 3, 1), phase_bar)
-    weight[0] = 1.0
-    np.multiply.accumulate(weight, out=weight)
-    return np.add.accumulate(np.where(q <= stop, b * weight, 0.0))[-1]
+    ratio, coef = [1.0], [1.0 + 0j]
+    # share = (y^m / m!) / s_m, t = t_m at x_max, c = c_m / s_m
+    m, share, t, c = 0, 1.0, 1.0, 1.0 + 0j
+    while not (x_max / (m + 1) < 0.5 and t <= 0.5 * tol):
+        m += 1
+        if m > _MAX_TERMS:
+            raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} needs degrees "
+                                  f"past {_MAX_TERMS}")
+        grow = y / m * share  # (y^m / m!) / s_{m-1}
+        rho = 1.0 + grow
+        share = grow / rho
+        c = (phase_bar * c + grow) / rho
+        t *= x_max / m * rho
+        if not t <= _MAX_TERM_BOUND:
+            raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} has terms past "
+                                  f"2^64: rounding leaves it no correct digit")
+        ratio.append(rho)
+        coef.append(-c if m % 2 else c)
+    return np.array(ratio), np.array(coef)
+
+
+def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.ndarray:
+    """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x, 0 <= x <= y.
+
+    The double series is summed by total degree m = n + q:
+
+        sum_q phase_bar^q B_q(x, y) = sum_m (-x)^m / m! c_m,
+        c_m = sum_{n<=m} y^n phase_bar^(m-n) / n! = phase_bar c_{m-1} + y^m / m!.
+
+    The c_m depend on y and phase_bar only, so one scalar recurrence forms them
+    for the whole call.  As |phase_bar| = 1, |c_m| <= s_m = sum_{n<=m} y^n / n!,
+    and t_m = s_m x^m / m! bounds term m.  Each point stops at its first m with
+    x / (m+1) < 1/2 and t_m <= tol/2; as t_{m+1} = x t_m / (m+1) + (xy)^{m+1} /
+    (m+1)!^2, the omitted tail is then of the order of tol.  The rule bounds
+    truncation only; rounding error grows with the largest t_m, which is why
+    terms past 2^64 are refused.  The widest point's degree M sizes the one
+    (degree x point) block.  The recurrence keeps c_m / s_m (modulus <= 1) and
+    s_m / s_{m-1}, and t_m is the running product of (x / m) s_m / s_{m-1}, so
+    no coefficient or bound overflows where a term would not.  The terms are
+    added in order of m, as a point-by-point loop would, so a point gets the
+    same value alone as in any array.
+    """
+    ratio, coef = _order_coefficients(float(x.max(initial=0.0)), y, phase_bar, tol)
+    degree = np.arange(ratio.size)[:, None]
+    t = np.empty((ratio.size, x.size))
+    t[0] = 1.0
+    np.multiply(x / degree[1:], ratio[1:, None], out=t[1:])
+    np.multiply.accumulate(t, out=t)
+    done = (t <= 0.5 * tol) & (x / (degree + 1) < 0.5)
+    stop = done.argmax(axis=0)
+    if not done[stop, np.arange(x.size)].all():
+        raise ArithmeticError(f"order sum at x = {x.max():.6g} did not settle")
+    return np.add.accumulate(np.where(degree <= stop, t * coef[:, None], 0.0))[-1]
 
 
 def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +260,8 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     nu*B_0((y-a)|nu|, (b-x)|nu|) + |nu|*B_1((b-a)|nu|, (y-x)|nu|)
     - (nu + conj(nu)) * sum_q B_q((y-x)|nu|, (b-a)|nu|) (conj(nu)/|nu|)^q.
 
-    The q-sum's weights are unimodular, so its truncation relies on the decay
-    of B_q in the order; it stops after three consecutive |B_q| < tol.
+    The q-sum is summed by total degree (see _order_sum); each point stops
+    at its own degree.
     """
     x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < v) & (v < iv.b),
                    f"the causal region of {iv}")
@@ -268,40 +311,76 @@ def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     return _result(out)
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=None)
 def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule, read-only.
+
+    Newton's method on P_n from the estimates -cos(pi (k - 1/4) / (n + 1/2)),
+    until no node moves by more than 1e-15; the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the final nodes, and both are symmetrised
+    about 0.
+    """
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(20):
+        p, slope = _legendre(n, x)
+        step = p / slope
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    _, slope = _legendre(n, x)
+    nodes = 0.5 * (x - x[::-1])
+    weights = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    weights = 0.5 * (weights + weights[::-1])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   n: int) -> complex:
-    """n-node Gauss-Legendre quadrature of fn over (lo, hi).
+def _scalar_or_array(values: np.ndarray) -> float | complex | np.ndarray:
+    """A Python number for a 0-d array, else the array."""
+    return values.item() if values.ndim == 0 else values
 
-    fn is called once, on the array of the n nodes, and returns the n values.
+
+def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], lo, hi, n: int):
+    """n-node Gauss-Legendre quadrature of fn over the panels (lo, hi).
+
+    lo and hi broadcast to the shape of the panels.  fn is called once, on the
+    nodes of every panel as one array of shape (*panels, n), and returns the
+    values in that shape.  One scalar panel gives a Python number, else an
+    array of the panels' shape.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     nodes, weights = _gl_nodes(n)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
-    return (half * (weights @ fn(0.5 * (lo + hi) + half * nodes))).item()
+    values = fn((0.5 * (lo + hi))[..., None] + half[..., None] * nodes)
+    return _scalar_or_array(half * (values @ weights))
 
 
-def isometry_residual(x: float, y: float, iv: Interval, nu: ComplexParam,
-                      tol: float = DEFAULT_TOL) -> complex:
+def isometry_residual(x, y, iv: Interval, nu: ComplexParam,
+                      tol: float = DEFAULT_TOL) -> complex | np.ndarray:
     """Defect of the isometry identity at a < x < y < b; zero when the operator is unitary.
 
     f(x,y) + conj(g(y,x)) + int_a^x g(x,z)conj(g(y,z)) dz
     + int_x^y f(x,z)conj(g(y,z)) dz + int_y^b f(x,z)conj(f(y,z)) dz,
 
-    with f the causal and g the anticausal kernel part.  Each panel gets
-    CHECK_NODES Gauss-Legendre nodes; the panel split at x and y matters
-    because the kernel switches branch there.
+    with f the causal and g the anticausal kernel part.  x and y broadcast;
+    each of the three integrals is one quadrature over the panels of every
+    point, CHECK_NODES Gauss-Legendre nodes each; the panel split at x and y
+    matters because the kernel switches branch there.  A Python complex for
+    scalar x and y, else a complex array.
     """
-    if not (iv.a < x < y < iv.b):
-        raise ValueError(f"need a < x < y < b, got x={x}, y={y} in {iv}")
+    x, y = _points(x, y, lambda u, v: (iv.a < u) & (u < v) & (v < iv.b),
+                   f"a < x < y < b for {iv}")
 
     def f(u, z):
         return kernel_causal(u, z, iv, nu, tol)
@@ -309,48 +388,56 @@ def isometry_residual(x: float, y: float, iv: Interval, nu: ComplexParam,
     def g(u, z):
         return kernel_anticausal(u, z, iv, nu, tol)
 
-    total = f(x, y) + g(y, x).conjugate()
-    total += gauss_legendre(lambda z: g(x, z) * g(y, z).conjugate(), iv.a, x, CHECK_NODES)
-    total += gauss_legendre(lambda z: f(x, z) * g(y, z).conjugate(), x, y, CHECK_NODES)
-    total += gauss_legendre(lambda z: f(x, z) * f(y, z).conjugate(), y, iv.b, CHECK_NODES)
-    return total
+    u, v = x[..., None], y[..., None]  # against the (*points, CHECK_NODES) nodes
+    total = f(x, y) + np.conjugate(g(y, x))
+    total += gauss_legendre(lambda z: g(u, z) * np.conjugate(g(v, z)), iv.a, x, CHECK_NODES)
+    total += gauss_legendre(lambda z: f(u, z) * np.conjugate(g(v, z)), x, y, CHECK_NODES)
+    total += gauss_legendre(lambda z: f(u, z) * np.conjugate(f(v, z)), y, iv.b, CHECK_NODES)
+    return _scalar_or_array(np.asarray(total))
 
 
-def lommel_residual(alpha: float, beta: float, x: float, tol: float = DEFAULT_TOL) -> float:
+def lommel_residual(alpha, beta, x, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """|int_0^x G_0(alpha z) G_0(beta z) dz - closed form| (Lommel integral).
 
     Closed form: (alpha x G_1(alpha x) G_0(beta x) - beta x G_1(beta x)
-    G_0(alpha x)) / (alpha - beta); requires alpha != beta.
+    G_0(alpha x)) / (alpha - beta); requires alpha != beta.  The arguments
+    broadcast, and all integrals are one quadrature; a float for scalar
+    arguments, else an array.
     """
-    if alpha <= 0 or beta <= 0:
+    alpha, beta, x = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (alpha, beta, x)))
+    if (alpha <= 0).any() or (beta <= 0).any():
         raise ValueError("need alpha, beta > 0")
-    if alpha == beta:
+    if (alpha == beta).any():
         raise ValueError("closed form needs alpha != beta")
-    if x < 0:
+    if (x < 0).any():
         raise ValueError("need x >= 0")
-    scales = np.array([[alpha], [beta]])
+    scales = np.stack([alpha, beta])[..., None]
     lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z, tol), axis=0),
                          0.0, x, CHECK_NODES)
-    g0a, g0b = _profile(0, (alpha * x, beta * x), tol)
-    g1a, g1b = _profile(1, (alpha * x, beta * x), tol)
-    rhs = (alpha * x * g1a * g0b - beta * x * g1b * g0a) / (alpha - beta)
-    return float(abs(lhs - rhs))
+    ax, bx = alpha * x, beta * x
+    g0a, g0b = _profile(0, np.stack([ax, bx]), tol)
+    g1a, g1b = _profile(1, np.stack([ax, bx]), tol)
+    rhs = (ax * g1a * g0b - bx * g1b * g0a) / (alpha - beta)
+    return _scalar_or_array(np.abs(lhs - rhs))
 
 
-def sonine_gegenbauer_residual(beta: float, z: float, tol: float = DEFAULT_TOL) -> float:
+def sonine_gegenbauer_residual(beta, z, tol: float = DEFAULT_TOL) -> float | np.ndarray:
     """|int_0^z G_1(w) G_1(w + beta) dw - closed form| (Sonine-Gegenbauer type).
 
     Closed form: (z G_1(z) G_0(z+beta) - (z+beta) G_1(z+beta) G_0(z)) / beta
-    + G_1(beta).
+    + G_1(beta).  The arguments broadcast, and all integrals are one
+    quadrature; a float for scalar arguments, else an array.
     """
-    if beta <= 0:
+    beta, z = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (beta, z)))
+    if (beta <= 0).any():
         raise ValueError("need beta > 0")
-    if z < 0:
+    if (z < 0).any():
         raise ValueError("need z >= 0")
-    shifts = np.array([[0.0], [beta]])
+    shifts = np.stack([np.zeros_like(beta), beta])[..., None]
     lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts, tol), axis=0),
                          0.0, z, CHECK_NODES)
-    g1z, g1zb, g1b = _profile(1, (z, z + beta, beta), tol)
-    g0z, g0zb = _profile(0, (z, z + beta), tol)
-    rhs = (z * g1z * g0zb - (z + beta) * g1zb * g0z) / beta + g1b
-    return float(abs(lhs - rhs))
+    zb = z + beta
+    g1z, g1zb, g1b = _profile(1, np.stack([z, zb, beta]), tol)
+    g0z, g0zb = _profile(0, np.stack([z, zb]), tol)
+    rhs = (z * g1z * g0zb - zb * g1zb * g0z) / beta + g1b
+    return _scalar_or_array(np.abs(lhs - rhs))

@@ -4,9 +4,10 @@
 panel as numpy arrays through one series core.  This module keeps the
 point-by-point loops that the array core replaced, so that the differential
 tests in ``test_kernel_arrays.py`` compare the fast path with the slow one and
-not with itself.  The loops are kept as they were: one partial sum per point,
-the order sum stopping after three consecutive |B_q| < tol, and one scalar
-kernel call per Gauss-Legendre node.
+not with itself.  The loops go one point at a time: one partial sum per
+point, the order sum summed by total degree with its coefficients formed
+unscaled (the fast path keeps them scaled), one scalar kernel call per
+Gauss-Legendre node, and one quadrature per residual.
 """
 from __future__ import annotations
 
@@ -45,6 +46,27 @@ def bessel_profile_slow(j: int, x: float, tol: float) -> float:
     raise ArithmeticError(f"series for G_{j}({x}) did not settle")
 
 
+def order_sum_slow(x: float, y: float, phase_bar: complex, tol: float) -> complex:
+    """sum_q B_q(x, y) phase_bar^q as sum_m (-x)^m / m! c_m, one degree at a time.
+
+    c_m = phase_bar c_{m-1} + y^m / m! is formed unscaled, next to the bound
+    s_m = sum_{n<=m} y^n / n! on |c_m|; the loop stops at the first m with
+    x / (m+1) < 1/2 and s_m x^m / m! <= tol/2.
+    """
+    c, power, s, xm = 1.0 + 0j, 1.0, 1.0, 1.0  # power = y^m / m!, xm = (-x)^m / m!
+    acc, m = c, 0
+    while not (x / (m + 1) < 0.5 and s * abs(xm) <= 0.5 * tol):
+        m += 1
+        if m > _MAX_TERMS:
+            raise ArithmeticError(f"order sum at x = {x}, y = {y} did not settle")
+        power *= y / m
+        s += power
+        c = phase_bar * c + power
+        xm *= -x / m
+        acc += xm * c
+    return acc
+
+
 def kernel_causal_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
                        tol: float) -> complex:
     r = nu.modulus
@@ -55,17 +77,7 @@ def kernel_causal_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
     total += r * bessel_series_slow(1, iv.width * r, (y - x) * r, tol)
     two_lam = v + v.conjugate()
     if two_lam != 0:
-        phase_bar = v.conjugate() / r
-        acc, weight, quiet, q = 0j, 1.0 + 0j, 0, 0
-        while quiet < 3:
-            if q > _MAX_TERMS:
-                raise ArithmeticError("order sum did not settle")
-            bq = bessel_series_slow(q, (y - x) * r, iv.width * r, tol)
-            acc += bq * weight
-            quiet = quiet + 1 if abs(bq) < tol else 0
-            weight *= phase_bar
-            q += 1
-        total -= two_lam * acc
+        total -= two_lam * order_sum_slow((y - x) * r, iv.width * r, v.conjugate() / r, tol)
     return total
 
 

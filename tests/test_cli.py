@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from causalprod import cli, kernel
-from causalprod.config import QUADRATURE_CELLS, VERIFY_IDENTITY_CAP, RunConfig
+from causalprod.config import KERNEL_GRID_CAP, QUADRATURE_CELLS, VERIFY_IDENTITY_CAP, RunConfig
 
 
 def _run(argv):
@@ -158,6 +158,7 @@ def test_verify_cap_refusal(tmp_path, capsys):
     (["verify", "--s-max", "21"], 20),
     (["kernel", "--s-max", "41"], 40),
     (["converge", "--n-list", "10,4097"], 4096),
+    (["kernel", "--n", "129", "--s-max", "0"], 128),
 ])
 def test_each_command_refuses_one_past_its_limit(tmp_path, capsys, argv, cap):
     out = tmp_path / "a.json"
@@ -166,6 +167,13 @@ def test_each_command_refuses_one_past_its_limit(tmp_path, capsys, argv, cap):
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert str(cap) in err
     assert not out.exists()
+
+
+def test_kernel_grid_cap_admits_the_wide_grid():
+    # the kernel-wide benchmark workload runs --n 121; --n is kernel's flag only
+    assert RunConfig("kernel", n=121, s_max=0).n == 121
+    assert RunConfig("kernel", n=KERNEL_GRID_CAP).n == KERNEL_GRID_CAP
+    assert RunConfig("verify", n=10**6).n == 10**6
 
 
 def test_converge_artifact(tmp_path):

@@ -9,6 +9,7 @@ decide digits that the comparison sees.
 """
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -149,23 +150,34 @@ def test_overflowing_orders_raise_without_numpy_warnings():
 
 
 def test_order_sum_is_one_block_sized_up_front(monkeypatch):
-    # at (b-a)|nu| = 5.5 the wide pair has (y-x)|nu| = 5.39, and 5.39^q / q! < 1e-12
-    # from Q = 32: one block of orders 0..34 for both pairs; the narrow pair's sum
-    # still stops at its own order
-    shapes = []
-    core = kernel._alt_series
+    # at (b-a)|nu| = 3 the wide pair has x = (y-x)|nu| = 2.94, and the oracle's
+    # loop stops there at degree 26: one scalar recurrence forms the coefficients
+    # of degrees 0..26 for both pairs, B_0 and B_1 are the only series calls, and
+    # the narrow pair's sum still stops at its own degree
+    series, recurrences = [], []
+    core, coefficients = kernel._alt_series, kernel._order_coefficients
 
-    def spy(first, z, j, tol):
+    def spy_series(first, z, j, tol):
         out = core(first, z, j, tol)
-        shapes.append(out.shape)
+        series.append(out.shape)
         return out
 
-    monkeypatch.setattr(kernel, "_alt_series", spy)
-    iv, nu = IV, ComplexParam(4.4, 3.3)
+    def spy_coefficients(x_max, y, phase_bar, tol):
+        ratio, coef = coefficients(x_max, y, phase_bar, tol)
+        recurrences.append((x_max, coef.size))
+        return ratio, coef
+
+    monkeypatch.setattr(kernel, "_alt_series", spy_series)
+    monkeypatch.setattr(kernel, "_order_coefficients", spy_coefficients)
+    iv, nu = IV, ComplexParam(2.4, 1.8)
     x, y = np.array([0.01, 0.3]), np.array([0.99, 0.6])
     fast = kernel_causal(x, y, iv, nu)
-    assert shapes == [(2,), (2,), (35, 2)]
+    assert series == [(2,), (2,)]
+    assert recurrences == [(pytest.approx(2.94), 27)]
     assert _close(fast, [kernel_causal_slow(u, v, iv, nu, 1e-12) for u, v in zip(x, y)])
+    phase_bar, width = nu.value.conjugate() / nu.modulus, iv.width * nu.modulus
+    both = kernel._order_sum((y - x) * nu.modulus, width, phase_bar, 1e-12)
+    assert both[1] == kernel._order_sum((y - x)[1:] * nu.modulus, width, phase_bar, 1e-12)[0]
 
 
 @pytest.mark.parametrize("iv, nu", _cases(8, seed=7, reach=6.0)[2:])
@@ -237,3 +249,116 @@ def test_gauss_legendre_calls_fn_once_on_the_nodes():
     assert seen == [(5,)]
     nodes, weights = kernel._gl_nodes(5)
     assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_gauss_legendre_batches_panels_in_one_call():
+    seen = []
+
+    def fn(z):
+        seen.append(np.shape(z))
+        return np.exp(1j * z)
+
+    lo, hi = np.array([[0.0], [1.0]]), np.array([0.5, 2.0, 3.0])
+    batch = kernel.gauss_legendre(fn, lo, hi, 7)
+    assert seen[0] == (2, 3, 7) and batch.shape == (2, 3)
+    assert _close(batch, [[kernel.gauss_legendre(fn, a, b, 7) for b in hi] for a in lo[:, 0]])
+    assert type(kernel.gauss_legendre(lambda z: z**2, 0.0, 1.0, 3)) is float
+
+
+def test_gauss_legendre_nodes_match_leggauss():
+    # the weights are compared for n <= 40 and at CHECK_NODES only: between 41 and
+    # 100 nodes leggauss's own weights are off by up to 7.4e-15 (against 40-digit
+    # Newton), and these by at most 1.5e-16
+    for n in (*range(2, 41), kernel.CHECK_NODES):
+        nodes, weights = kernel._gl_nodes(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 4e-16
+        assert np.max(np.abs(weights - ref_weights)) <= 4e-15
+
+
+def _causal_mpmath(mpmath, x, y, iv, nu):
+    """kernel_causal in 30 digits, from B_j(x, y) = (-1)^j (x/y)^(j/2) J_j(2 sqrt(xy))."""
+    def b(j, u, v):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        return (-1) ** j * (u / v) ** (j / 2) * mpmath.besselj(j, 2 * mpmath.sqrt(u * v))
+
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(mpmath.mpf(nu.lam) ** 2 + mpmath.mpf(nu.mu) ** 2)
+        if r == 0:
+            return 0j
+        v = mpmath.mpc(nu.lam, nu.mu)
+        a, w = mpmath.mpf(iv.a), mpmath.mpf(iv.b) - mpmath.mpf(iv.a)
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        total = v * b(0, (y - a) * r, (a + w - x) * r) + r * b(1, w * r, (y - x) * r)
+        if nu.lam != 0:
+            q, acc, phase_bar = 0, 0, mpmath.conj(v) / r
+            while q < 4 or abs(bq) > mpmath.mpf(10) ** -25:
+                bq = b(q, (y - x) * r, w * r)
+                acc += bq * phase_bar**q
+                q += 1
+            total -= 2 * nu.lam * acc
+        return complex(total)
+
+
+@pytest.mark.parametrize("iv, nu", CASES)
+def test_kernel_matches_mpmath_within_reach(iv, nu):
+    # |nu|(b-a) <= 3 at tol 1e-12; the sum over three quiet orders that the sum by
+    # degree replaced was off by up to 8.9e-13 on these points
+    mpmath = pytest.importorskip("mpmath")
+    x, y = _pairs(iv, 40, np.random.default_rng(2))
+    fast = kernel_causal(x, y, iv, nu, 1e-12)
+    ref = np.array([_causal_mpmath(mpmath, u, v, iv, nu) for u, v in zip(x, y)])
+    assert np.all(np.abs(fast - ref) <= 2e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_grid_call_memory_stays_small():
+    # one 61 x 61 limit_kernel call at |nu| = 8 held an (order x point x term)
+    # block of ~111 MB under the sum over quiet orders; the degree block is ~4 MB
+    pts = np.linspace(0.0, 1.0, 63)[1:-1]
+    nu = ComplexParam(6.0, 5.3)
+    limit_kernel(pts[:2, None], pts[None, :2], IV, nu)
+    tracemalloc.start()
+    try:
+        grid = limit_kernel(pts[:, None], pts[None, :], IV, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (61, 61)
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_batched_residuals_equal_their_scalar_calls(tol):
+    iv, nu = CASES[3]
+    u, v = np.array(((0.15, 0.25, 0.4, 0.1, 0.55), (0.45, 0.75, 0.6, 0.9, 0.85)))
+    x, y = iv.a + u * iv.width, iv.a + v * iv.width
+    batch = isometry_residual(x, y, iv, nu, tol)
+    single = [isometry_residual(float(s), float(t), iv, nu, tol) for s, t in zip(x, y)]
+    assert batch.shape == (5,) and all(type(s) is complex for s in single)
+    assert _close(batch, single)
+    alpha, beta = np.array([1.0, 0.5, 3.0]), np.array([2.0, 1.5, 1.0])
+    xs = np.array([0.5, 1.0, 2.0])
+    batch = lommel_residual(alpha[:, None], beta[:, None], xs, tol)
+    single = [[lommel_residual(float(a), float(b), float(t), tol) for t in xs]
+              for a, b in zip(alpha, beta)]
+    assert batch.shape == (3, 3) and type(single[0][0]) is float
+    assert _close(batch, single)
+    betas, zs = np.array([0.5, 1.0, 2.0]), np.array([0.4, 1.0, 1.6])
+    batch = sonine_gegenbauer_residual(betas[:, None], zs, tol)
+    single = [[sonine_gegenbauer_residual(float(b), float(z), tol) for z in zs] for b in betas]
+    assert batch.shape == (3, 3) and type(single[0][0]) is float
+    assert _close(batch, single)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: isometry_residual(np.array([0.3, 0.7]), np.array([0.6, 0.5]), IV, NU),
+    lambda: isometry_residual(np.array([0.0, 0.3]), 0.6, IV, NU),
+    lambda: lommel_residual(np.array([1.0, -1.0]), 2.0, 1.0),
+    lambda: lommel_residual(np.array([1.0, 2.0]), 2.0, 1.0),
+    lambda: lommel_residual(1.0, 2.0, np.array([1.0, -0.5])),
+    lambda: sonine_gegenbauer_residual(np.array([1.0, 0.0]), 1.0),
+    lambda: sonine_gegenbauer_residual(1.0, np.array([0.5, -1.0])),
+])
+def test_batched_residuals_refuse_any_bad_entry(call):
+    with pytest.raises(ValueError):
+        call()
