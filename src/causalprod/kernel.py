@@ -20,8 +20,9 @@ so stopping once that bound is at most tol/2 keeps the truncation error of
 the order of tol.  Rounding error from cancellation between the alternating
 terms is not bounded.  It grows with xy: B_0(x, x) is off by ~1e-10 at
 xy = 100, by ~1e-5 at xy = 225 and in every digit at xy = 400 (ROADMAP
-item 1).  The order sum alone refuses terms past 2^64, where the rounding
-error bound passes 2^11.
+item 1).  Besides its reach, the order sum refuses a call where the sum over
+orders that it replaced did not settle; its terms reach ~2^137 in ``kernel
+--lambda 100``, which it still answers.
 """
 from __future__ import annotations
 
@@ -37,8 +38,7 @@ DEFAULT_TOL = 1e-12
 CHECK_NODES = 64  # Gauss-Legendre nodes per panel of the integral-identity checks
 _MAX_TERMS = 600
 _MAX_ORDER = 170  # largest q whose q! is a finite float64
-# the order sum refuses terms past 2^64: rounding them leaves an error bound of 2^11
-_MAX_TERM_BOUND = 2.0**64
+_RESCALE = 2.0**600  # the order sum's coefficients are scaled down past this
 
 
 @dataclass(frozen=True)
@@ -159,40 +159,79 @@ def bessel_profile(j: int, x: float, tol: float = DEFAULT_TOL) -> float:
     return float(_profile(j, x, tol))
 
 
+def _quiet_order(first: float, z: float, j: int, tol: float) -> bool:
+    """Whether one element of _alt_series(first, z, j, tol), summed alone, is below tol.
+
+    The terms and the stopping rule are those of _alt_series; False when the
+    element does not stop within _MAX_TERMS terms.
+    """
+    term = total = first
+    for n in range(1, _MAX_TERMS + 1):
+        term *= -z / (n * (n + j))
+        total += term
+        if abs(term) <= tol * max(1.0, abs(total)) and abs(z) / ((n + 1) * (n + 1 + j)) < 0.5:
+            return abs(total) < tol
+    return False
+
+
+def _orders_settle(x_max: float, y: float, top: int, tol: float) -> bool:
+    """Whether the sum over orders that _order_sum replaced settled at x_max.
+
+    That sum evaluated B_0..B_{top+2} at every point and stopped each at its
+    first three consecutive |B_q| < tol; a call with a point that had none was
+    refused.  Where it settled, orders top..top+2 (x^q / q! < tol there) were
+    such a run: lower orders are larger and carry more rounding noise.  So the
+    check sums those three orders at the widest point as that sum did, first
+    terms included, and refuses where rounding noise puts one above tol, which
+    the sum by degree cannot see.
+    """
+    q = np.arange(top, top + 3)
+    with np.errstate(over="ignore"):
+        first = (-x_max) ** q / np.array([math.factorial(k) for k in q.tolist()], dtype=float)
+    return all(_quiet_order(f, x_max * y, j, tol) for f, j in zip(first.tolist(), q.tolist()))
+
+
 def _order_coefficients(x_max: float, y: float, phase_bar: complex,
-                        tol: float) -> tuple[np.ndarray, np.ndarray]:
+                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scalar recurrence of _order_sum, run to the degree M of its widest point x_max.
 
-    Returns ratio[m] = s_m / s_{m-1} (ratio[0] = 1) and coef[m] = (-1)^m c_m / s_m,
-    m = 0..M, where s_m = sum_{n<=m} y^n / n!.  Raises ArithmeticError past the
-    order sum's reach, for a degree past _MAX_TERMS, and once t_m at x_max
-    passes _MAX_TERM_BOUND.
+    Returns, for m = 0..M, step[m] = g_m / g_{m-1} (step[0] = 1), bound[m] =
+    s_m / g_m and coef[m] = c_m / g_m, where s_m = sum_{n<=m} y^n / n! and g_m
+    is a power of two, 1 until s_m / g_{m-1} passes _RESCALE.  Raises
+    ArithmeticError past the order sum's reach, where the orders at x_max do not
+    settle, for a degree past _MAX_TERMS and once the term bound at x_max is
+    not finite.
     """
-    top, bound = 0, 1.0  # bound = x_max^top / top!
-    while not (top >= x_max and bound < tol):
+    top, size = 0, 1.0  # size = x_max^top / top!
+    while not (top >= x_max and size < tol):
         top += 1
         if top + 2 > _MAX_ORDER:
             raise ArithmeticError(f"order sum at x = {x_max:.6g} needs orders past {_MAX_ORDER}")
-        bound *= x_max / top
-    ratio, coef = [1.0], [1.0 + 0j]
-    # share = (y^m / m!) / s_m, t = t_m at x_max, c = c_m / s_m
-    m, share, t, c = 0, 1.0, 1.0, 1.0 + 0j
-    while not (x_max / (m + 1) < 0.5 and t <= 0.5 * tol):
+        size *= x_max / top
+    if not _orders_settle(x_max, y, top, tol):
+        raise ArithmeticError(f"order sum at x = {x_max:.6g} did not settle")
+    step, bound, coef = [1.0], [1.0], [1.0 + 0j]
+    # power, s and c are y^m / m!, s_m and c_m over g_m; p is (-x_max)^m / m! times g_m
+    m, power, s, c, p = 0, 1.0, 1.0, 1.0 + 0j, 1.0
+    while not (x_max / (m + 1) < 0.5 and s * abs(p) <= 0.5 * tol):
         m += 1
         if m > _MAX_TERMS:
             raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} needs degrees "
                                   f"past {_MAX_TERMS}")
-        grow = y / m * share  # (y^m / m!) / s_{m-1}
-        rho = 1.0 + grow
-        share = grow / rho
-        c = (phase_bar * c + grow) / rho
-        t *= x_max / m * rho
-        if not t <= _MAX_TERM_BOUND:
-            raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} has terms past "
-                                  f"2^64: rounding leaves it no correct digit")
-        ratio.append(rho)
-        coef.append(-c if m % 2 else c)
-    return np.array(ratio), np.array(coef)
+        power *= y / m
+        s += power
+        c = phase_bar * c + power
+        gain = 1.0
+        if s > _RESCALE:  # exact: a power of two
+            gain = math.ldexp(1.0, math.frexp(s)[1])
+            power, s, c = power / gain, s / gain, c / gain
+        p *= -x_max / m * gain
+        if not math.isfinite(s * abs(p)):
+            raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} overflows")
+        step.append(gain)
+        bound.append(s)
+        coef.append(c)
+    return np.array(step), np.array(bound), np.array(coef)
 
 
 def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.ndarray:
@@ -208,25 +247,27 @@ def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.nd
     and t_m = s_m x^m / m! bounds term m.  Each point stops at its first m with
     x / (m+1) < 1/2 and t_m <= tol/2; as t_{m+1} = x t_m / (m+1) + (xy)^{m+1} /
     (m+1)!^2, the omitted tail is then of the order of tol.  The rule bounds
-    truncation only; rounding error grows with the largest t_m, which is why
-    terms past 2^64 are refused.  The widest point's degree M sizes the one
-    (degree x point) block.  The recurrence keeps c_m / s_m (modulus <= 1) and
-    s_m / s_{m-1}, and t_m is the running product of (x / m) s_m / s_{m-1}, so
-    no coefficient or bound overflows where a term would not.  The terms are
-    added in order of m, as a point-by-point loop would, so a point gets the
-    same value alone as in any array.
+    truncation only; rounding error grows with the largest t_m.  The widest
+    point's degree M sizes the one (degree x point) block, and every point has
+    stopped by M, as its t_m and x / (m+1) are no larger.  Where s_m would
+    overflow (y past ~709), c_m and s_m are kept over a power of two g_m and
+    (-x)^m / m! times it; scaling by a power of two is exact, so every
+    operation gives the unscaled loop's value times g_m.  A call is refused
+    where the sum over orders that this replaced refused it (_orders_settle).
+    The terms are added in order of m, as a point-by-point loop would, so a
+    point gets the same value alone as in any array.
     """
-    ratio, coef = _order_coefficients(float(x.max(initial=0.0)), y, phase_bar, tol)
-    degree = np.arange(ratio.size)[:, None]
-    t = np.empty((ratio.size, x.size))
-    t[0] = 1.0
-    np.multiply(x / degree[1:], ratio[1:, None], out=t[1:])
-    np.multiply.accumulate(t, out=t)
-    done = (t <= 0.5 * tol) & (x / (degree + 1) < 0.5)
+    step, bound, coef = _order_coefficients(float(x.max(initial=0.0)), y, phase_bar, tol)
+    degree = np.arange(step.size)[:, None]
+    p = np.empty((step.size, x.size))  # row m: (-x)^m / m! times g_m
+    p[0] = 1.0
+    np.divide(-x, degree[1:], out=p[1:])
+    if step.max() > 1.0:
+        p[1:] *= step[1:, None]
+    np.multiply.accumulate(p, out=p)
+    done = (bound[:, None] * np.abs(p) <= 0.5 * tol) & (x / (degree + 1) < 0.5)
     stop = done.argmax(axis=0)
-    if not done[stop, np.arange(x.size)].all():
-        raise ArithmeticError(f"order sum at x = {x.max():.6g} did not settle")
-    return np.add.accumulate(np.where(degree <= stop, t * coef[:, None], 0.0))[-1]
+    return np.add.accumulate(np.where(degree <= stop, p * coef[:, None], 0.0))[-1]
 
 
 def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,10 @@ panel as numpy arrays through one series core.  This module keeps the
 point-by-point loops that the array core replaced, so that the differential
 tests in ``test_kernel_arrays.py`` compare the fast path with the slow one and
 not with itself.  The loops go one point at a time: one partial sum per
-point, the order sum summed by total degree with its coefficients formed
-unscaled (the fast path keeps them scaled), one scalar kernel call per
-Gauss-Legendre node, and one quadrature per residual.
+point, the order sum summed by total degree with one degree per step (the
+fast path forms its coefficients once per call and every point's terms in one
+block), one scalar kernel call per Gauss-Legendre node, and one quadrature per
+residual.
 """
 from __future__ import annotations
 

@@ -298,6 +298,15 @@ def test_unsettled_series_fails_in_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_kernel_answers_where_its_order_sum_settles(tmp_path):
+    # the order sum's terms reach ~2^137 at (0.25, 0.75), so the values have no
+    # correct digit (ROADMAP item 1), but its orders settle and the grid is written
+    out = tmp_path / "a.json"
+    assert _run(["kernel", "--lambda", "100", "--mu", "0", "--n", "3", "--s-max", "0",
+                 "--out", str(out)]) == 0
+    assert len(_read_json(out)["rows"]) == 9
+
+
 # (b - a)|nu| is small, but nu + conj(nu) overflows inside the kernel
 @pytest.mark.parametrize("argv", [
     ["kernel", "--n", "2", "--s-max", "0"],

@@ -33,6 +33,7 @@ from kernel_oracle import (
     kernel_anticausal_slow,
     kernel_causal_slow,
     lommel_residual_slow,
+    order_sum_slow,
     sonine_gegenbauer_residual_slow,
 )
 
@@ -150,10 +151,12 @@ def test_overflowing_orders_raise_without_numpy_warnings():
 
 
 def test_order_sum_is_one_block_sized_up_front(monkeypatch):
-    # at (b-a)|nu| = 3 the wide pair has x = (y-x)|nu| = 2.94, and the oracle's
-    # loop stops there at degree 26: one scalar recurrence forms the coefficients
-    # of degrees 0..26 for both pairs, B_0 and B_1 are the only series calls, and
-    # the narrow pair's sum still stops at its own degree
+    # at (b-a)|nu| = 5.5 the wide pair has x = (y-x)|nu| = 5.39, and the oracle's
+    # loop stops there at degree 36: one scalar recurrence forms the coefficients
+    # of degrees 0..36 for both pairs, and the narrow pair's sum still stops at its
+    # own degree.  B_0 and B_1 are the only series calls: the settling check finds
+    # orders 32..34 quiet at the wide pair (5.39^q / q! < 1e-12 from Q = 32) in
+    # scalar loops, so the block of orders 0..34 is not formed
     series, recurrences = [], []
     core, coefficients = kernel._alt_series, kernel._order_coefficients
 
@@ -163,21 +166,52 @@ def test_order_sum_is_one_block_sized_up_front(monkeypatch):
         return out
 
     def spy_coefficients(x_max, y, phase_bar, tol):
-        ratio, coef = coefficients(x_max, y, phase_bar, tol)
-        recurrences.append((x_max, coef.size))
-        return ratio, coef
+        out = coefficients(x_max, y, phase_bar, tol)
+        recurrences.append((x_max, out[2].size))
+        return out
 
     monkeypatch.setattr(kernel, "_alt_series", spy_series)
     monkeypatch.setattr(kernel, "_order_coefficients", spy_coefficients)
-    iv, nu = IV, ComplexParam(2.4, 1.8)
+    iv, nu = IV, ComplexParam(4.4, 3.3)
     x, y = np.array([0.01, 0.3]), np.array([0.99, 0.6])
     fast = kernel_causal(x, y, iv, nu)
     assert series == [(2,), (2,)]
-    assert recurrences == [(pytest.approx(2.94), 27)]
+    assert recurrences == [(pytest.approx(5.39), 37)]
     assert _close(fast, [kernel_causal_slow(u, v, iv, nu, 1e-12) for u, v in zip(x, y)])
     phase_bar, width = nu.value.conjugate() / nu.modulus, iv.width * nu.modulus
     both = kernel._order_sum((y - x) * nu.modulus, width, phase_bar, 1e-12)
     assert both[1] == kernel._order_sum((y - x)[1:] * nu.modulus, width, phase_bar, 1e-12)[0]
+
+
+@pytest.mark.parametrize("x, y, settles", [
+    (0.3, 3000.0, True), (0.36, 3000.0, False), (25.0, 100.0, True), (50.0, 136.0, True),
+])
+def test_order_sum_refuses_what_the_sum_over_orders_refused(x, y, settles):
+    # the sum over orders refused a call whose widest point had no three quiet
+    # orders among 0..Q+2, and answered the others whatever their terms: they
+    # reach ~2^79 at 0.3 and 3000, ~2^137 at 25 and 100 (`kernel --lambda 100
+    # --n 3`) and ~2^230 at 50 and 136, so none of these values has a correct
+    # digit (ROADMAP item 1)
+    if settles:
+        assert np.isfinite(kernel._order_sum(np.array([0.1, x]), y, 1j, 1e-12)).all()
+    else:
+        with pytest.raises(ArithmeticError, match=f"order sum at x = {x:g} did not settle"):
+            kernel._order_sum(np.array([0.1, x]), y, 1j, 1e-12)
+
+
+def test_order_sum_scales_its_coefficients_beyond_float_range():
+    # y^m / m! passes 2^600 at both points, so the coefficients are kept over a
+    # power of two: exact, so the sum equals the unscaled loop's while that loop
+    # stays finite (y = 5e6), and is still found where the loop overflows (y = 1e10)
+    step, _, _ = kernel._order_coefficients(2e-5, 5e6, 1j, 1e-12)
+    assert step.max() > 1.0
+    fast = kernel._order_sum(np.array([2e-5]), 5e6, 1j, 1e-12)[0]
+    assert fast == order_sum_slow(2e-5, 5e6, 1j, 1e-12)
+    with pytest.raises(ArithmeticError):
+        order_sum_slow(1e-8, 1e10, 1j, 1e-12)
+    fast = kernel._order_sum(np.array([1e-8]), 1e10, 1j, 1e-12)[0]
+    # B_0(x, y) = J_0(20) is the whole sum to within |B_1| ~ 7e-11
+    assert abs(fast - kernel.bessel_series(0, 1e-8, 1e10)) < 1e-9
 
 
 @pytest.mark.parametrize("iv, nu", _cases(8, seed=7, reach=6.0)[2:])
