@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from typing import Callable, NoReturn, Sequence
 
@@ -174,8 +175,14 @@ def cmd_kernel(cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are one stderr line and exit status 2.
 
-    Subparsers are built with the class of their parent, so they inherit it.
+    It reads a negative number in exponent form (``--lambda -1e-3``) as a value,
+    as argparse reads ``-1`` and ``-0.5``.  Subparsers are built with the class
+    of their parent, so they inherit both.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"invalid arguments: {message}\n")

@@ -10,11 +10,12 @@ Both are partial sums of one alternating series, which ``_alt_series``
 evaluates elementwise over numpy arrays, sizing its block up front from
 |term_n| <= max|first| max|z|^n / n!^2.  The causal kernel's order sum
 sum_q B_q(x, y) phase^q is the same double series summed by total degree
-(``_order_sum``); it refuses (y - x)|nu| past ~53.5 at tol 1e-12.  The
-quadrature checks evaluate the Gauss-Legendre panels of all their points in
-one call per integral.
+(``_order_sum``); it refuses (y - x)|nu| past ~53.5.  The quadrature checks
+evaluate the Gauss-Legendre panels of all their points in one call per
+integral.
 
-Every stopping rule bounds the truncation error only: once the term ratio
+Every series stops at the one truncation tolerance tol = DEFAULT_TOL, and
+every stopping rule bounds the truncation error only: once the term ratio
 drops below 1/2 the remaining tail is of the order of the last term's bound,
 so stopping once that bound is at most tol/2 keeps the truncation error of
 the order of tol.  Rounding error from cancellation between the alternating
@@ -29,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -80,7 +81,7 @@ def _filled(values, shape: tuple, dtype: type) -> np.ndarray:
     return out
 
 
-def _alt_series(first, z, j, tol: float) -> np.ndarray:
+def _alt_series(first, z, j) -> np.ndarray:
     """Elementwise sum over n >= 0 of first * prod_{k=1..n} (-z / (k (k + j))).
 
     B_j(x, y) is first = (-x)^j / j! with z = x y; G_j(t) is first = 1 / j!
@@ -93,13 +94,11 @@ def _alt_series(first, z, j, tol: float) -> np.ndarray:
     running product and a running sum.  K past _MAX_TERMS (so any non-finite
     argument) or an overflowing sum raises ArithmeticError.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
     shape = np.broadcast(first, z, j).shape
     first, z, j = (_filled(a, shape, t).ravel() for a, t in ((first, float), (z, float), (j, int)))
     z_max = float(np.abs(z).max(initial=0.0))
     n, bound = 1, float(np.abs(first).max(initial=0.0)) * z_max  # bound on |term_n|
-    while not (z_max / (n + 1) ** 2 < 0.5 and bound <= 0.5 * tol):
+    while not (z_max / (n + 1) ** 2 < 0.5 and bound <= 0.5 * DEFAULT_TOL):
         n += 1
         if n > _MAX_TERMS:
             raise ArithmeticError(f"series with |z| up to {z_max:.6g} need over {_MAX_TERMS} terms")
@@ -113,7 +112,8 @@ def _alt_series(first, z, j, tol: float) -> np.ndarray:
         np.multiply.accumulate(terms, out=terms)
         mag = np.abs(terms[1:])
         sums = np.add.accumulate(terms, out=terms)  # the terms become the partial sums
-        done = (mag <= tol * np.maximum(1.0, np.abs(sums[1:]))) & (np.abs(z) / kk[1:] < 0.5)
+        done = mag <= DEFAULT_TOL * np.maximum(1.0, np.abs(sums[1:]))
+        done &= np.abs(z) / kk[1:] < 0.5
     cols = np.arange(first.size)
     stop = done.argmax(axis=0)
     out = sums[stop + 1, cols]
@@ -122,45 +122,39 @@ def _alt_series(first, z, j, tol: float) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _bessel_b(j: int, x, y, tol: float) -> np.ndarray | float:
+def _bessel_b(j: int, x, y) -> np.ndarray | float:
     """B_j(x, y) elementwise, for one order j >= 0.
 
     A single point is a call of the public bessel_series, so that per-point
     kernel evaluations are seen, and traced, under that name.
     """
     if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return bessel_series(j, float(x), float(y), tol)
+        return bessel_series(j, float(x), float(y))
     x = np.asarray(x, dtype=float)
-    return _alt_series((-x) ** j / math.factorial(j), x * y, j, tol)
+    return _alt_series((-x) ** j / math.factorial(j), x * y, j)
 
 
-def _profile(j: int, t, tol: float) -> np.ndarray:
+def _profile(j: int, t) -> np.ndarray:
     """G_j(t) elementwise, for one order j >= 0."""
-    return _alt_series(1.0 / math.factorial(j), t, j, tol)
+    return _alt_series(1.0 / math.factorial(j), t, j)
 
 
-def bessel_series(j: int, x: float, y: float, tol: float = DEFAULT_TOL) -> float:
-    """Partial sum of B_j(x, y) with truncation error below tol (scalar arguments).
-
-    j = -1 is understood as B_{-1}(x, y) = -B_1(y, x), which is the value of
-    d/dx B_0 with the opposite sign.
-    """
-    if j == -1:
-        return -bessel_series(1, y, x, tol)
+def bessel_series(j: int, x: float, y: float) -> float:
+    """Partial sum of B_j(x, y) for an order j >= 0 (scalar arguments)."""
     if j < 0:
-        raise ValueError(f"order must be >= -1, got {j}")
-    return float(_alt_series((-x) ** j / math.factorial(j), x * y, j, tol))
+        raise ValueError(f"order must be >= 0, got {j}")
+    return float(_alt_series((-x) ** j / math.factorial(j), x * y, j))
 
 
-def bessel_profile(j: int, x: float, tol: float = DEFAULT_TOL) -> float:
+def bessel_profile(j: int, x: float) -> float:
     """Partial sum of G_j(x) = sum_{k>=0} (-1)^k x^k / (k! (k+j)!) (scalar argument)."""
     if j < 0:
         raise ValueError(f"order must be >= 0, got {j}")
-    return float(_profile(j, x, tol))
+    return float(_profile(j, x))
 
 
-def _quiet_order(first: float, z: float, j: int, tol: float) -> bool:
-    """Whether one element of _alt_series(first, z, j, tol), summed alone, is below tol.
+def _quiet_order(first: float, z: float, j: int) -> bool:
+    """Whether one element of _alt_series(first, z, j), summed alone, is below tol.
 
     The terms and the stopping rule are those of _alt_series; False when the
     element does not stop within _MAX_TERMS terms.
@@ -169,12 +163,13 @@ def _quiet_order(first: float, z: float, j: int, tol: float) -> bool:
     for n in range(1, _MAX_TERMS + 1):
         term *= -z / (n * (n + j))
         total += term
-        if abs(term) <= tol * max(1.0, abs(total)) and abs(z) / ((n + 1) * (n + 1 + j)) < 0.5:
-            return abs(total) < tol
+        if (abs(term) <= DEFAULT_TOL * max(1.0, abs(total))
+                and abs(z) / ((n + 1) * (n + 1 + j)) < 0.5):
+            return abs(total) < DEFAULT_TOL
     return False
 
 
-def _orders_settle(x_max: float, y: float, top: int, tol: float) -> bool:
+def _orders_settle(x_max: float, y: float, top: int) -> bool:
     """Whether the sum over orders that _order_sum replaced settled at x_max.
 
     That sum evaluated B_0..B_{top+2} at every point and stopped each at its
@@ -188,11 +183,11 @@ def _orders_settle(x_max: float, y: float, top: int, tol: float) -> bool:
     q = np.arange(top, top + 3)
     with np.errstate(over="ignore"):
         first = (-x_max) ** q / np.array([math.factorial(k) for k in q.tolist()], dtype=float)
-    return all(_quiet_order(f, x_max * y, j, tol) for f, j in zip(first.tolist(), q.tolist()))
+    return all(_quiet_order(f, x_max * y, j) for f, j in zip(first.tolist(), q.tolist()))
 
 
-def _order_coefficients(x_max: float, y: float, phase_bar: complex,
-                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _order_coefficients(x_max: float, y: float,
+                        phase_bar: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scalar recurrence of _order_sum, run to the degree M of its widest point x_max.
 
     Returns, for m = 0..M, step[m] = g_m / g_{m-1} (step[0] = 1), bound[m] =
@@ -203,17 +198,17 @@ def _order_coefficients(x_max: float, y: float, phase_bar: complex,
     not finite.
     """
     top, size = 0, 1.0  # size = x_max^top / top!
-    while not (top >= x_max and size < tol):
+    while not (top >= x_max and size < DEFAULT_TOL):
         top += 1
         if top + 2 > _MAX_ORDER:
             raise ArithmeticError(f"order sum at x = {x_max:.6g} needs orders past {_MAX_ORDER}")
         size *= x_max / top
-    if not _orders_settle(x_max, y, top, tol):
+    if not _orders_settle(x_max, y, top):
         raise ArithmeticError(f"order sum at x = {x_max:.6g} did not settle")
     step, bound, coef = [1.0], [1.0], [1.0 + 0j]
     # power, s and c are y^m / m!, s_m and c_m over g_m; p is (-x_max)^m / m! times g_m
     m, power, s, c, p = 0, 1.0, 1.0, 1.0 + 0j, 1.0
-    while not (x_max / (m + 1) < 0.5 and s * abs(p) <= 0.5 * tol):
+    while not (x_max / (m + 1) < 0.5 and s * abs(p) <= 0.5 * DEFAULT_TOL):
         m += 1
         if m > _MAX_TERMS:
             raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} needs degrees "
@@ -234,7 +229,7 @@ def _order_coefficients(x_max: float, y: float, phase_bar: complex,
     return np.array(step), np.array(bound), np.array(coef)
 
 
-def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.ndarray:
+def _order_sum(x: np.ndarray, y: float, phase_bar: complex) -> np.ndarray:
     """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x, 0 <= x <= y.
 
     The double series is summed by total degree m = n + q:
@@ -257,7 +252,7 @@ def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.nd
     The terms are added in order of m, as a point-by-point loop would, so a
     point gets the same value alone as in any array.
     """
-    step, bound, coef = _order_coefficients(float(x.max(initial=0.0)), y, phase_bar, tol)
+    step, bound, coef = _order_coefficients(float(x.max(initial=0.0)), y, phase_bar)
     degree = np.arange(step.size)[:, None]
     p = np.empty((step.size, x.size))  # row m: (-x)^m / m! times g_m
     p[0] = 1.0
@@ -265,7 +260,7 @@ def _order_sum(x: np.ndarray, y: float, phase_bar: complex, tol: float) -> np.nd
     if step.max() > 1.0:
         p[1:] *= step[1:, None]
     np.multiply.accumulate(p, out=p)
-    done = (bound[:, None] * np.abs(p) <= 0.5 * tol) & (x / (degree + 1) < 0.5)
+    done = (bound[:, None] * np.abs(p) <= 0.5 * DEFAULT_TOL) & (x / (degree + 1) < 0.5)
     stop = done.argmax(axis=0)
     return np.add.accumulate(np.where(degree <= stop, p * coef[:, None], 0.0))[-1]
 
@@ -295,7 +290,7 @@ def _result(values: np.ndarray) -> complex | np.ndarray:
 
 
 def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
-                  nu: ComplexParam, tol: float = DEFAULT_TOL) -> complex | np.ndarray:
+                  nu: ComplexParam) -> complex | np.ndarray:
     """Kernel value on the causal region a <= x < y < b; x and y broadcast.
 
     nu*B_0((y-a)|nu|, (b-x)|nu|) + |nu|*B_1((b-a)|nu|, (y-x)|nu|)
@@ -310,11 +305,11 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     if r == 0.0:
         return _result(np.zeros(x.shape, dtype=complex))
     v = nu.value
-    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol)
-    b1 = _bessel_b(1, iv.width * r, (y - x) * r, tol)
+    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r)
+    b1 = _bessel_b(1, iv.width * r, (y - x) * r)
     two_lam = v + v.conjugate()  # inf for lam near the float64 limit
     acc = 0.0 if two_lam == 0 else _order_sum(((y - x) * r).ravel(), iv.width * r,
-                                              v.conjugate() / r, tol).reshape(x.shape)
+                                              v.conjugate() / r).reshape(x.shape)
     # numpy may flag overflow in a product whose value is finite; _result judges the total
     with np.errstate(over="ignore", invalid="ignore"):
         total = v * b0
@@ -324,31 +319,29 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
 
 
 def kernel_anticausal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
-                      nu: ComplexParam, tol: float = DEFAULT_TOL) -> complex | np.ndarray:
+                      nu: ComplexParam) -> complex | np.ndarray:
     """Kernel value on the anticausal region a <= y < x < b: nu*B_0((y-a)|nu|, (b-x)|nu|)."""
     x, y = _points(x, y, lambda u, v: (iv.a <= v) & (v < u) & (u < iv.b),
                    f"the anticausal region of {iv}")
     r = nu.modulus
     if r == 0.0:
         return _result(np.zeros(x.shape, dtype=complex))
-    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r, tol)
+    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r)
     with np.errstate(over="ignore", invalid="ignore"):  # _result refuses a non-finite value
         return _result(nu.value * b0)
 
 
 def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
-                 nu: ComplexParam, tol: float = DEFAULT_TOL) -> complex | np.ndarray:
+                 nu: ComplexParam) -> complex | np.ndarray:
     """Kernel of (limit operator - identity) on [a, b)^2; zero on the diagonal."""
     x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < iv.b) & (iv.a <= v) & (v < iv.b),
                    f"the square of {iv}")
     if x.ndim == 0:
-        if x == y:
-            return 0j
-        return (kernel_causal if x < y else kernel_anticausal)(x, y, iv, nu, tol)
+        return 0j if x == y else (kernel_causal if x < y else kernel_anticausal)(x, y, iv, nu)
     out = np.zeros(x.shape, dtype=complex)
     for branch, mask in ((kernel_causal, x < y), (kernel_anticausal, y < x)):
         if mask.any():
-            out[mask] = branch(x[mask], y[mask], iv, nu, tol)
+            out[mask] = branch(x[mask], y[mask], iv, nu)
     return _result(out)
 
 
@@ -407,8 +400,7 @@ def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], lo, hi, n: int):
     return _scalar_or_array(half * (values @ weights))
 
 
-def isometry_residual(x, y, iv: Interval, nu: ComplexParam,
-                      tol: float = DEFAULT_TOL) -> complex | np.ndarray:
+def isometry_residual(x, y, iv: Interval, nu: ComplexParam) -> complex | np.ndarray:
     """Defect of the isometry identity at a < x < y < b; zero when the operator is unitary.
 
     f(x,y) + conj(g(y,x)) + int_a^x g(x,z)conj(g(y,z)) dz
@@ -423,12 +415,7 @@ def isometry_residual(x, y, iv: Interval, nu: ComplexParam,
     x, y = _points(x, y, lambda u, v: (iv.a < u) & (u < v) & (v < iv.b),
                    f"a < x < y < b for {iv}")
 
-    def f(u, z):
-        return kernel_causal(u, z, iv, nu, tol)
-
-    def g(u, z):
-        return kernel_anticausal(u, z, iv, nu, tol)
-
+    f, g = partial(kernel_causal, iv=iv, nu=nu), partial(kernel_anticausal, iv=iv, nu=nu)
     u, v = x[..., None], y[..., None]  # against the (*points, CHECK_NODES) nodes
     total = f(x, y) + np.conjugate(g(y, x))
     total += gauss_legendre(lambda z: g(u, z) * np.conjugate(g(v, z)), iv.a, x, CHECK_NODES)
@@ -437,7 +424,7 @@ def isometry_residual(x, y, iv: Interval, nu: ComplexParam,
     return _scalar_or_array(np.asarray(total))
 
 
-def lommel_residual(alpha, beta, x, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+def lommel_residual(alpha, beta, x) -> float | np.ndarray:
     """|int_0^x G_0(alpha z) G_0(beta z) dz - closed form| (Lommel integral).
 
     Closed form: (alpha x G_1(alpha x) G_0(beta x) - beta x G_1(beta x)
@@ -453,16 +440,15 @@ def lommel_residual(alpha, beta, x, tol: float = DEFAULT_TOL) -> float | np.ndar
     if (x < 0).any():
         raise ValueError("need x >= 0")
     scales = np.stack([alpha, beta])[..., None]
-    lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z, tol), axis=0),
-                         0.0, x, CHECK_NODES)
+    lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z), axis=0), 0.0, x, CHECK_NODES)
     ax, bx = alpha * x, beta * x
-    g0a, g0b = _profile(0, np.stack([ax, bx]), tol)
-    g1a, g1b = _profile(1, np.stack([ax, bx]), tol)
+    g0a, g0b = _profile(0, np.stack([ax, bx]))
+    g1a, g1b = _profile(1, np.stack([ax, bx]))
     rhs = (ax * g1a * g0b - bx * g1b * g0a) / (alpha - beta)
     return _scalar_or_array(np.abs(lhs - rhs))
 
 
-def sonine_gegenbauer_residual(beta, z, tol: float = DEFAULT_TOL) -> float | np.ndarray:
+def sonine_gegenbauer_residual(beta, z) -> float | np.ndarray:
     """|int_0^z G_1(w) G_1(w + beta) dw - closed form| (Sonine-Gegenbauer type).
 
     Closed form: (z G_1(z) G_0(z+beta) - (z+beta) G_1(z+beta) G_0(z)) / beta
@@ -475,10 +461,9 @@ def sonine_gegenbauer_residual(beta, z, tol: float = DEFAULT_TOL) -> float | np.
     if (z < 0).any():
         raise ValueError("need z >= 0")
     shifts = np.stack([np.zeros_like(beta), beta])[..., None]
-    lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts, tol), axis=0),
-                         0.0, z, CHECK_NODES)
+    lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts), axis=0), 0.0, z, CHECK_NODES)
     zb = z + beta
-    g1z, g1zb, g1b = _profile(1, np.stack([z, zb, beta]), tol)
-    g0z, g0zb = _profile(0, np.stack([z, zb]), tol)
+    g1z, g1zb, g1b = _profile(1, np.stack([z, zb, beta]))
+    g0z, g0zb = _profile(0, np.stack([z, zb]))
     rhs = (z * g1z * g0zb - zb * g1zb * g0z) / beta + g1b
     return _scalar_or_array(np.abs(lhs - rhs))

@@ -439,7 +439,7 @@ def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> Conv
     Each point of ``sample_points(iv)`` is mapped to its containing cell pair;
     the comparison happens at that cell's midpoints.  Only the sampled columns of the product
     are formed (``apply_product`` on unit columns), and the limit kernel is evaluated at all
-    sampled cells in one array call.  The fitted rate is the slope of
+    sampled cells of every size in one array call.  The fitted rate is the slope of
     log(error) against log(n); errors that are exactly zero (nu = 0) give a
     fitted rate of 0 by convention.  A non-finite estimate or error raises
     ArithmeticError rather than dropping out of the running maximum.
@@ -452,7 +452,7 @@ def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> Conv
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"sizes must be strictly increasing, got {ns}")
     samples = sample_points(iv)
-    errors = []
+    parts, xs, ys = [], [], []  # per size: its cells and their estimates; their midpoints
     for n in ns:
         step = iv.width / n
         cells = [(min(int((x - iv.a) / step), n - 1), min(int((y - iv.a) / step), n - 1))
@@ -466,9 +466,15 @@ def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> Conv
         js = np.array([j for j, _ in cells], dtype=int)
         ks = np.array([k for _, k in cells], dtype=int)
         # off the diagonal, (W - I)[j, k] = W[j, k]
-        est = w[js, [where[k] for k in ks]] * (n / iv.width)
+        parts.append((js, ks, w[js, [where[k] for k in ks]] * (n / iv.width)))
         mids = midpoints(n, iv)
-        exact = limit_kernel(mids[js], mids[ks], iv, nu)
+        xs.append(mids[js])
+        ys.append(mids[ks])
+    # each point stops at its own degree: one call gives every size's values bit for bit
+    exact_all = limit_kernel(np.concatenate(xs), np.concatenate(ys), iv, nu)
+    ends = np.cumsum([x.size for x in xs])[:-1]
+    errors = []
+    for n, (js, ks, est), exact in zip(ns, parts, np.split(exact_all, ends)):
         err = np.abs(est - exact)
         if not np.isfinite(err).all():
             i = int(np.isfinite(err).argmin())

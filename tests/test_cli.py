@@ -229,6 +229,31 @@ def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--s-max", "2", "--a", "-1e0"], 0),
+    (["verify", "--s-max", "2", "--a", "-3e0", "--b", "-1E0"], 0),
+    (["converge", "--n-list", "4,8", "--lambda", "-1e-3"], 0),
+    (["verify", "--s-max", "2", "--mu", "-2e-1"], 0),
+    (["kernel", "--n", "2", "--s-max", "0", "--a", "-1E2", "--b", "0", "--lambda", "1e-3"], 0),
+    (["verify", "--s-max", "2", "--tol", "-1e-3"], 2),
+])
+def test_negative_values_in_exponent_form(tmp_path, capsys, argv, code):
+    # "--flag -1e-3" must act as "--flag=-1e-3": same exit status, message and artifact
+    joined = []
+    for tok in argv:
+        if tok.startswith("-") and not tok.startswith("--"):
+            joined[-1] += f"={tok}"
+        else:
+            joined.append(tok)
+    results = []
+    for i, form in enumerate((argv, joined)):
+        out = tmp_path / f"{i}.json"
+        status = _run([*form, "--out", str(out)])
+        results.append((status, capsys.readouterr().err, out.exists() and out.read_bytes()))
+    assert results[0][0] == code
+    assert results[0] == results[1]
+
+
 def test_verify_non_finite_tol_refused(tmp_path, capsys):
     assert _run(["verify", "--tol", "inf", "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -49,16 +50,30 @@ def test_bessel_series_at_zero_first_argument():
 
 def test_bessel_series_matches_rational_oracle():
     oracle = _series_oracle_b0_11()
-    assert abs(bessel_series(0, 1.0, 1.0, 1e-14) - oracle) < 1e-14
+    assert abs(bessel_series(0, 1.0, 1.0) - oracle) < 1e-14
     assert bessel_series(0, 1.0, 1.0) == pytest.approx(0.2238907791, abs=1e-9)
 
 
 def test_bessel_series_negative_order_convention():
-    assert bessel_series(-1, 0.7, 1.3) == -bessel_series(1, 1.3, 0.7)
-    with pytest.raises(ValueError):
+    # orders start at 0; a caller writes B_{-1}(x, y) as -B_1(y, x)
+    with pytest.raises(ValueError, match="order must be >= 0"):
         bessel_series(-2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        bessel_series(0, 1.0, 1.0, tol=0.0)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        bessel_profile(-1, 0.7)
+
+
+def test_no_public_kernel_callable_takes_tol():
+    # the kernel layer computes at the one truncation tolerance kernel.DEFAULT_TOL
+    import causalprod
+
+    for module in (causalprod, kernel):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if getattr(obj, "__module__", "").startswith("causalprod"):
+                assert "tol" not in inspect.signature(obj).parameters, f"{module.__name__}.{name}"
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        bessel_series(-1, 0.7, 1.3)
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
@@ -71,8 +86,8 @@ def test_bessel_profile_relates_to_series():
     # B_j(x, y) == (-1)^j x^j G_j(x y)
     for j in range(0, 4):
         for x, y in [(0.5, 1.1), (1.7, 0.4)]:
-            lhs = bessel_series(j, x, y, 1e-14)
-            rhs = (-1.0) ** j * x**j * bessel_profile(j, x * y, 1e-14)
+            lhs = bessel_series(j, x, y)
+            rhs = (-1.0) ** j * x**j * bessel_profile(j, x * y)
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -145,7 +160,7 @@ def test_truncated_series_matches_closed_kernel():
         for j in range(1, 8):
             x, y = i / 8, j / 8
             ser = truncated_kernel(x, y, IV.a, IV.b, NU.value, 25)
-            clo = limit_kernel(x, y, IV, NU, 1e-13)
+            clo = limit_kernel(x, y, IV, NU)
             worst = max(worst, abs(ser - clo))
     assert worst < 1e-10
 

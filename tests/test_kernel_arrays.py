@@ -3,9 +3,9 @@
 ``kernel_oracle`` keeps the point-by-point loops; every array evaluation here
 must agree with them to REL relative (absolute below magnitude 1).  The
 parameters are seeded with |nu|(b - a) <= 3, where cancellation in the
-alternating series costs no more than a few ulps; the coarse tolerance makes
-the stopping rules (per-element freezing, three quiet orders per point)
-decide digits that the comparison sees.
+alternating series costs no more than a few ulps.  The oracle loops run at the
+kernel's one truncation tolerance, ``kernel.DEFAULT_TOL``; that every element
+stops at its own term is checked bit for bit.
 """
 import math
 import random
@@ -38,7 +38,7 @@ from kernel_oracle import (
 )
 
 REL = 1e-13
-TOLS = (1e-12, 1e-4)
+TOLS = (kernel.DEFAULT_TOL,)  # the oracle loops' tolerance
 IV = Interval(0.0, 1.0)
 NU = ComplexParam(1.0, 0.5)
 
@@ -76,9 +76,9 @@ def test_bessel_arrays_match_scalar_loops(tol):
     rng = np.random.default_rng(1)
     x, y = 3.0 * rng.random(200), 3.0 * rng.random(200)
     for j in range(8):
-        fast = kernel._bessel_b(j, x, y, tol)
+        fast = kernel._bessel_b(j, x, y)
         assert _close(fast, [bessel_series_slow(j, u, v, tol) for u, v in zip(x, y)])
-        fast = kernel._profile(j, x * y, tol)
+        fast = kernel._profile(j, x * y)
         assert _close(fast, [bessel_profile_slow(j, t, tol) for t in x * y])
 
 
@@ -86,9 +86,9 @@ def test_bessel_arrays_match_scalar_loops(tol):
 @pytest.mark.parametrize("iv, nu", CASES)
 def test_kernel_arrays_match_scalar_loops(iv, nu, tol):
     x, y = _pairs(iv, 40, np.random.default_rng(2))
-    assert _close(kernel_causal(x, y, iv, nu, tol),
+    assert _close(kernel_causal(x, y, iv, nu),
                   [kernel_causal_slow(u, v, iv, nu, tol) for u, v in zip(x, y)])
-    assert _close(kernel_anticausal(y, x, iv, nu, tol),
+    assert _close(kernel_anticausal(y, x, iv, nu),
                   [kernel_anticausal_slow(v, u, iv, nu, tol) for u, v in zip(x, y)])
 
 
@@ -96,18 +96,19 @@ def test_kernel_arrays_match_scalar_loops(iv, nu, tol):
 def test_isometry_residual_matches_scalar_panels(iv, nu):
     for fx, fy in ((0.25, 0.75), (0.1, 0.9)):
         x, y = iv.a + fx * iv.width, iv.a + fy * iv.width
-        fast = isometry_residual(x, y, iv, nu, tol=1e-12)
-        assert _close(fast, isometry_residual_slow(x, y, iv, nu, kernel.CHECK_NODES, 1e-12))
+        fast = isometry_residual(x, y, iv, nu)
+        assert _close(fast, isometry_residual_slow(x, y, iv, nu, kernel.CHECK_NODES,
+                                                   kernel.DEFAULT_TOL))
 
 
 def test_quadrature_residuals_match_scalar_panels():
-    for tol in TOLS:
-        for alpha, beta, x in ((1.0, 2.0, 0.5), (3.0, 1.0, 2.0), (0.5, 1.5, 1.0)):
-            assert _close(lommel_residual(alpha, beta, x, tol),
-                          lommel_residual_slow(alpha, beta, x, kernel.CHECK_NODES, tol))
-        for beta, z in ((0.5, 0.4), (2.0, 1.6), (1.0, 1.0)):
-            assert _close(sonine_gegenbauer_residual(beta, z, tol),
-                          sonine_gegenbauer_residual_slow(beta, z, kernel.CHECK_NODES, tol))
+    nodes, tol = kernel.CHECK_NODES, kernel.DEFAULT_TOL
+    for alpha, beta, x in ((1.0, 2.0, 0.5), (3.0, 1.0, 2.0), (0.5, 1.5, 1.0)):
+        assert _close(lommel_residual(alpha, beta, x),
+                      lommel_residual_slow(alpha, beta, x, nodes, tol))
+    for beta, z in ((0.5, 0.4), (2.0, 1.6), (1.0, 1.0)):
+        assert _close(sonine_gegenbauer_residual(beta, z),
+                      sonine_gegenbauer_residual_slow(beta, z, nodes, tol))
 
 
 def test_series_chunks_match_the_scalar_loop_exactly():
@@ -116,21 +117,20 @@ def test_series_chunks_match_the_scalar_loop_exactly():
     rng = np.random.default_rng(3)
     t = np.concatenate([[0.0, 1e-300], 2000.0 * rng.random(4998)])
     j = rng.integers(0, 4, t.size)
-    for tol in TOLS:
-        fast = kernel._alt_series(1.0 / np.array([math.factorial(i) for i in j]), t, j, tol)
-        slow = [bessel_profile_slow(int(i), float(u), tol) for i, u in zip(j, t)]
-        assert np.array_equal(fast, slow)
-        assert np.array_equal(fast[::97], [kernel.bessel_profile(int(i), float(u), tol)
-                                           for i, u in zip(j[::97], t[::97])])
+    fast = kernel._alt_series(1.0 / np.array([math.factorial(i) for i in j]), t, j)
+    slow = [bessel_profile_slow(int(i), float(u), kernel.DEFAULT_TOL) for i, u in zip(j, t)]
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(fast[::97], [kernel.bessel_profile(int(i), float(u))
+                                       for i, u in zip(j[::97], t[::97])])
 
 
 def test_single_points_go_through_bessel_series(monkeypatch):
     calls = []
     public = kernel.bessel_series
 
-    def spy(j, x, y, tol=kernel.DEFAULT_TOL):
+    def spy(j, x, y):
         calls.append(j)
-        return public(j, x, y, tol)
+        return public(j, x, y)
 
     monkeypatch.setattr(kernel, "bessel_series", spy)
     assert limit_kernel(0.2, 0.7, IV, NU) == kernel_causal(0.2, 0.7, IV, NU)
@@ -160,13 +160,13 @@ def test_order_sum_is_one_block_sized_up_front(monkeypatch):
     series, recurrences = [], []
     core, coefficients = kernel._alt_series, kernel._order_coefficients
 
-    def spy_series(first, z, j, tol):
-        out = core(first, z, j, tol)
+    def spy_series(first, z, j):
+        out = core(first, z, j)
         series.append(out.shape)
         return out
 
-    def spy_coefficients(x_max, y, phase_bar, tol):
-        out = coefficients(x_max, y, phase_bar, tol)
+    def spy_coefficients(x_max, y, phase_bar):
+        out = coefficients(x_max, y, phase_bar)
         recurrences.append((x_max, out[2].size))
         return out
 
@@ -179,8 +179,8 @@ def test_order_sum_is_one_block_sized_up_front(monkeypatch):
     assert recurrences == [(pytest.approx(5.39), 37)]
     assert _close(fast, [kernel_causal_slow(u, v, iv, nu, 1e-12) for u, v in zip(x, y)])
     phase_bar, width = nu.value.conjugate() / nu.modulus, iv.width * nu.modulus
-    both = kernel._order_sum((y - x) * nu.modulus, width, phase_bar, 1e-12)
-    assert both[1] == kernel._order_sum((y - x)[1:] * nu.modulus, width, phase_bar, 1e-12)[0]
+    both = kernel._order_sum((y - x) * nu.modulus, width, phase_bar)
+    assert both[1] == kernel._order_sum((y - x)[1:] * nu.modulus, width, phase_bar)[0]
 
 
 @pytest.mark.parametrize("x, y, settles", [
@@ -193,23 +193,23 @@ def test_order_sum_refuses_what_the_sum_over_orders_refused(x, y, settles):
     # --n 3`) and ~2^230 at 50 and 136, so none of these values has a correct
     # digit (ROADMAP item 1)
     if settles:
-        assert np.isfinite(kernel._order_sum(np.array([0.1, x]), y, 1j, 1e-12)).all()
+        assert np.isfinite(kernel._order_sum(np.array([0.1, x]), y, 1j)).all()
     else:
         with pytest.raises(ArithmeticError, match=f"order sum at x = {x:g} did not settle"):
-            kernel._order_sum(np.array([0.1, x]), y, 1j, 1e-12)
+            kernel._order_sum(np.array([0.1, x]), y, 1j)
 
 
 def test_order_sum_scales_its_coefficients_beyond_float_range():
     # y^m / m! passes 2^600 at both points, so the coefficients are kept over a
     # power of two: exact, so the sum equals the unscaled loop's while that loop
     # stays finite (y = 5e6), and is still found where the loop overflows (y = 1e10)
-    step, _, _ = kernel._order_coefficients(2e-5, 5e6, 1j, 1e-12)
+    step, _, _ = kernel._order_coefficients(2e-5, 5e6, 1j)
     assert step.max() > 1.0
-    fast = kernel._order_sum(np.array([2e-5]), 5e6, 1j, 1e-12)[0]
+    fast = kernel._order_sum(np.array([2e-5]), 5e6, 1j)[0]
     assert fast == order_sum_slow(2e-5, 5e6, 1j, 1e-12)
     with pytest.raises(ArithmeticError):
         order_sum_slow(1e-8, 1e10, 1j, 1e-12)
-    fast = kernel._order_sum(np.array([1e-8]), 1e10, 1j, 1e-12)[0]
+    fast = kernel._order_sum(np.array([1e-8]), 1e10, 1j)[0]
     # B_0(x, y) = J_0(20) is the whole sum to within |B_1| ~ 7e-11
     assert abs(fast - kernel.bessel_series(0, 1e-8, 1e10)) < 1e-9
 
@@ -221,13 +221,11 @@ def test_single_points_equal_their_array_entries_bit_for_bit(iv, nu):
     rng = np.random.default_rng(4)
     x, y = _pairs(iv, 20, rng)
     pts = iv.a + iv.width * rng.random(6)
-    for tol in TOLS:
-        fast = kernel_causal(x, y, iv, nu, tol)
-        assert np.array_equal(fast, [kernel_causal(float(u), float(v), iv, nu, tol)
-                                     for u, v in zip(x, y)])
-        grid = limit_kernel(pts[:, None], pts[None, :], iv, nu, tol)
-        assert np.array_equal(grid, [[limit_kernel(float(u), float(v), iv, nu, tol)
-                                      for v in pts] for u in pts])
+    fast = kernel_causal(x, y, iv, nu)
+    assert np.array_equal(fast, [kernel_causal(float(u), float(v), iv, nu) for u, v in zip(x, y)])
+    grid = limit_kernel(pts[:, None], pts[None, :], iv, nu)
+    assert np.array_equal(grid, [[limit_kernel(float(u), float(v), iv, nu) for v in pts]
+                                 for u in pts])
 
 
 def test_scalar_and_zero_dim_inputs_return_python_complex():
@@ -265,11 +263,9 @@ def test_mixed_region_arrays_are_refused():
 
 def test_series_that_cannot_settle_raise():
     with pytest.raises(ArithmeticError):
-        kernel._alt_series(1.0, np.array([1.0, np.nan]), 0, 1e-12)
+        kernel._alt_series(1.0, np.array([1.0, np.nan]), 0)
     with pytest.raises(ArithmeticError):
         lommel_residual(1.0, 2.0, math.nan)
-    with pytest.raises(ValueError):
-        kernel._alt_series(1.0, np.array([1.0]), 0, 0.0)
 
 
 def test_gauss_legendre_calls_fn_once_on_the_nodes():
@@ -336,11 +332,11 @@ def _causal_mpmath(mpmath, x, y, iv, nu):
 
 @pytest.mark.parametrize("iv, nu", CASES)
 def test_kernel_matches_mpmath_within_reach(iv, nu):
-    # |nu|(b-a) <= 3 at tol 1e-12; the sum over three quiet orders that the sum by
-    # degree replaced was off by up to 8.9e-13 on these points
+    # |nu|(b-a) <= 3; the sum over three quiet orders that the sum by degree
+    # replaced was off by up to 8.9e-13 on these points
     mpmath = pytest.importorskip("mpmath")
     x, y = _pairs(iv, 40, np.random.default_rng(2))
-    fast = kernel_causal(x, y, iv, nu, 1e-12)
+    fast = kernel_causal(x, y, iv, nu)
     ref = np.array([_causal_mpmath(mpmath, u, v, iv, nu) for u, v in zip(x, y)])
     assert np.all(np.abs(fast - ref) <= 2e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -361,25 +357,24 @@ def test_grid_call_memory_stays_small():
     assert peak < 16e6
 
 
-@pytest.mark.parametrize("tol", TOLS)
-def test_batched_residuals_equal_their_scalar_calls(tol):
+def test_batched_residuals_equal_their_scalar_calls():
     iv, nu = CASES[3]
     u, v = np.array(((0.15, 0.25, 0.4, 0.1, 0.55), (0.45, 0.75, 0.6, 0.9, 0.85)))
     x, y = iv.a + u * iv.width, iv.a + v * iv.width
-    batch = isometry_residual(x, y, iv, nu, tol)
-    single = [isometry_residual(float(s), float(t), iv, nu, tol) for s, t in zip(x, y)]
+    batch = isometry_residual(x, y, iv, nu)
+    single = [isometry_residual(float(s), float(t), iv, nu) for s, t in zip(x, y)]
     assert batch.shape == (5,) and all(type(s) is complex for s in single)
     assert _close(batch, single)
     alpha, beta = np.array([1.0, 0.5, 3.0]), np.array([2.0, 1.5, 1.0])
     xs = np.array([0.5, 1.0, 2.0])
-    batch = lommel_residual(alpha[:, None], beta[:, None], xs, tol)
-    single = [[lommel_residual(float(a), float(b), float(t), tol) for t in xs]
+    batch = lommel_residual(alpha[:, None], beta[:, None], xs)
+    single = [[lommel_residual(float(a), float(b), float(t)) for t in xs]
               for a, b in zip(alpha, beta)]
     assert batch.shape == (3, 3) and type(single[0][0]) is float
     assert _close(batch, single)
     betas, zs = np.array([0.5, 1.0, 2.0]), np.array([0.4, 1.0, 1.6])
-    batch = sonine_gegenbauer_residual(betas[:, None], zs, tol)
-    single = [[sonine_gegenbauer_residual(float(b), float(z), tol) for z in zs] for b in betas]
+    batch = sonine_gegenbauer_residual(betas[:, None], zs)
+    single = [[sonine_gegenbauer_residual(float(b), float(z)) for z in zs] for b in betas]
     assert batch.shape == (3, 3) and type(single[0][0]) is float
     assert _close(batch, single)
 

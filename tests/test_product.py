@@ -232,6 +232,30 @@ def test_convergence_study_rates():
         assert bound == first_excluded_term_bound(n_val, IV, NU)
 
 
+def test_convergence_study_evaluates_the_kernel_once_for_the_ladder(monkeypatch):
+    # one limit_kernel call holds the sampled cells of every size in turn; each
+    # size's values must equal its own call bit for bit, and so must the study
+    from causalprod import product
+
+    ns, iv, nu = (8, 16, 32, 64), Interval(-0.5, 1.5), ComplexParam(2.0, -1.5)
+    steps = [iv.width / n for n in ns]  # the cells of size n, as the study maps them
+    counts = [sum(min(int((u - iv.a) / step), n - 1) != min(int((v - iv.a) / step), n - 1)
+                  for u, v in product.sample_points(iv)) for n, step in zip(ns, steps)]
+    calls = []
+
+    def per_size(x, y, iv, nu):
+        calls.append(x.size)
+        parts = np.split(np.arange(x.size), np.cumsum(counts)[:-1])
+        values = np.concatenate([limit_kernel(x[p], y[p], iv, nu) for p in parts])
+        assert np.array_equal(values, limit_kernel(x, y, iv, nu))
+        return values
+
+    batched = convergence_study(ns, iv, nu)
+    monkeypatch.setattr(product, "limit_kernel", per_size)
+    assert convergence_study(ns, iv, nu) == batched
+    assert calls == [sum(counts)]
+
+
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
         convergence_study((50, 50), IV, NU)
