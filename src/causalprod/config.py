@@ -20,8 +20,8 @@ VERIFY_IDENTITY_CAP = 20
 # as short as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
 QUADRATURE_CELLS = 28_800
 
-# kernel evaluates an n x n grid one point per call: ~0.16 ms per point at --s-max 0 and ~18 ms
-# with the --s-max 40 series comparison (2-vCPU host), so --n 128 takes ~2.6 s and ~5 min there
+# kernel evaluates an n x n grid one point per call: ~0.1 ms per point at --s-max 0 and ~14 ms
+# with the --s-max 40 series comparison (2-vCPU host), so --n 128 takes ~1.8 s and ~4 min there
 KERNEL_GRID_CAP = 128
 
 # each command (RunConfig.command) with its limits: its --s-max cap, its --n cap and its --n-list

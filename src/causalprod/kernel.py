@@ -9,21 +9,21 @@ together with its one-variable profile G_j(x) = J_j(2 sqrt(x)) / x^{j/2}.
 Both are partial sums of one alternating series, which ``_alt_series``
 evaluates elementwise over numpy arrays, sizing its block up front from
 |term_n| <= max|first| max|z|^n / n!^2.  The causal kernel's order sum
-sum_q B_q(x, y) phase^q is the same double series summed by total degree
-(``_order_sum``); it refuses (y - x)|nu| past ~53.5.  The quadrature checks
-evaluate the Gauss-Legendre panels of all their points in one call per
+sum_q B_q(x, y) phase^q is sum_q w^q J_q(2 sqrt(xy)) with |w| <= 1, which
+``_order_sum`` takes along Miller's backward recurrence: on 300 seeded points
+with y up to 200 it was within 1.1e-15 max(1, |sum|) of mpmath, and within
+~M eps (M the recurrence's length) where x is close to y.  The quadrature
+checks evaluate the Gauss-Legendre panels of all their points in one call per
 integral.
 
-Every series stops at the one truncation tolerance tol = DEFAULT_TOL, and
+The series B_j and G_j stop at the one truncation tolerance DEFAULT_TOL, and
 every stopping rule bounds the truncation error only: once the term ratio
 drops below 1/2 the remaining tail is of the order of the last term's bound,
 so stopping once that bound is at most tol/2 keeps the truncation error of
 the order of tol.  Rounding error from cancellation between the alternating
 terms is not bounded.  It grows with xy: B_0(x, x) is off by ~1e-10 at
-xy = 100, by ~1e-5 at xy = 225 and in every digit at xy = 400 (ROADMAP
-item 1).  Besides its reach, the order sum refuses a call where the sum over
-orders that it replaced did not settle; its terms reach ~2^137 in ``kernel
---lambda 100``, which it still answers.
+xy = 100, by ~1e-5 at xy = 225 and in every digit at xy = 400, so ``kernel
+--lambda 100`` answers with no correct digit (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -38,8 +38,7 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 CHECK_NODES = 64  # Gauss-Legendre nodes per panel of the integral-identity checks
 _MAX_TERMS = 600
-_MAX_ORDER = 170  # largest q whose q! is a finite float64
-_RESCALE = 2.0**600  # the order sum's coefficients are scaled down past this
+_BIG = 2.0**900  # the order sum's recurrence is scaled before |J_k| 2k/z passes this
 
 
 @dataclass(frozen=True)
@@ -153,116 +152,76 @@ def bessel_profile(j: int, x: float) -> float:
     return float(_profile(j, x))
 
 
-def _quiet_order(first: float, z: float, j: int) -> bool:
-    """Whether one element of _alt_series(first, z, j), summed alone, is below tol.
+def _miller_step(r, j, jp, h_re, h_im, w_re, w_im):
+    """One step of _order_sum's recurrence, alike on floats and on arrays.
 
-    The terms and the stopping rule are those of _alt_series; False when the
-    element does not stop within _MAX_TERMS terms.
+    From r = 2k/z, J_k, J_{k+1} and the Horner sum h = sum_{q>=k} w^(q-k) J_q
+    in real and imaginary parts, returns J_{k-1}, J_k and the sum from k - 1.
     """
-    term = total = first
-    for n in range(1, _MAX_TERMS + 1):
-        term *= -z / (n * (n + j))
-        total += term
-        if (abs(term) <= DEFAULT_TOL * max(1.0, abs(total))
-                and abs(z) / ((n + 1) * (n + 1 + j)) < 0.5):
-            return abs(total) < DEFAULT_TOL
-    return False
+    jm = r * j - jp
+    return jm, j, jm + (w_re * h_re - w_im * h_im), w_re * h_im + w_im * h_re
 
 
-def _orders_settle(x_max: float, y: float, top: int) -> bool:
-    """Whether the sum over orders that _order_sum replaced settled at x_max.
-
-    That sum evaluated B_0..B_{top+2} at every point and stopped each at its
-    first three consecutive |B_q| < tol; a call with a point that had none was
-    refused.  Where it settled, orders top..top+2 (x^q / q! < tol there) were
-    such a run: lower orders are larger and carry more rounding noise.  So the
-    check sums those three orders at the widest point as that sum did, first
-    terms included, and refuses where rounding noise puts one above tol, which
-    the sum by degree cannot see.
-    """
-    q = np.arange(top, top + 3)
-    with np.errstate(over="ignore"):
-        first = (-x_max) ** q / np.array([math.factorial(k) for k in q.tolist()], dtype=float)
-    return all(_quiet_order(f, x_max * y, j) for f, j in zip(first.tolist(), q.tolist()))
-
-
-def _order_coefficients(x_max: float, y: float,
-                        phase_bar: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scalar recurrence of _order_sum, run to the degree M of its widest point x_max.
-
-    Returns, for m = 0..M, step[m] = g_m / g_{m-1} (step[0] = 1), bound[m] =
-    s_m / g_m and coef[m] = c_m / g_m, where s_m = sum_{n<=m} y^n / n! and g_m
-    is a power of two, 1 until s_m / g_{m-1} passes _RESCALE.  Raises
-    ArithmeticError past the order sum's reach, where the orders at x_max do not
-    settle, for a degree past _MAX_TERMS and once the term bound at x_max is
-    not finite.
-    """
-    top, size = 0, 1.0  # size = x_max^top / top!
-    while not (top >= x_max and size < DEFAULT_TOL):
-        top += 1
-        if top + 2 > _MAX_ORDER:
-            raise ArithmeticError(f"order sum at x = {x_max:.6g} needs orders past {_MAX_ORDER}")
-        size *= x_max / top
-    if not _orders_settle(x_max, y, top):
-        raise ArithmeticError(f"order sum at x = {x_max:.6g} did not settle")
-    step, bound, coef = [1.0], [1.0], [1.0 + 0j]
-    # power, s and c are y^m / m!, s_m and c_m over g_m; p is (-x_max)^m / m! times g_m
-    m, power, s, c, p = 0, 1.0, 1.0, 1.0 + 0j, 1.0
-    while not (x_max / (m + 1) < 0.5 and s * abs(p) <= 0.5 * DEFAULT_TOL):
-        m += 1
-        if m > _MAX_TERMS:
-            raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} needs degrees "
-                                  f"past {_MAX_TERMS}")
-        power *= y / m
-        s += power
-        c = phase_bar * c + power
-        gain = 1.0
-        if s > _RESCALE:  # exact: a power of two
-            gain = math.ldexp(1.0, math.frexp(s)[1])
-            power, s, c = power / gain, s / gain, c / gain
-        p *= -x_max / m * gain
-        if not math.isfinite(s * abs(p)):
-            raise ArithmeticError(f"order sum at x = {x_max:.6g}, y = {y:.6g} overflows")
-        step.append(gain)
-        bound.append(s)
-        coef.append(c)
-    return np.array(step), np.array(bound), np.array(coef)
+def _order_sum_point(z: float, w_re: float, w_im: float, top: int) -> complex:
+    """_order_sum at one point with z > 0, its steps in Python floats."""
+    j, jp, h_re, h_im, norm = 1.0, 0.0, 1.0, 0.0, 2.0
+    for k in range(top, 0, -1):
+        r = 2.0 * k / z
+        if abs(j) * r > _BIG:
+            f = math.ldexp(1.0, -math.frexp(j)[1])
+            j, jp, h_re, h_im, norm = j * f, jp * f, h_re * f, h_im * f, norm * f
+        j, jp, h_re, h_im = _miller_step(r, j, jp, h_re, h_im, w_re, w_im)
+        if k % 2:
+            norm += j if k == 1 else 2.0 * j
+    return complex(h_re / norm, h_im / norm)
 
 
 def _order_sum(x: np.ndarray, y: float, phase_bar: complex) -> np.ndarray:
     """sum_q B_q(x, y) phase_bar^q for each entry of the 1-d array x, 0 <= x <= y.
 
-    The double series is summed by total degree m = n + q:
-
-        sum_q phase_bar^q B_q(x, y) = sum_m (-x)^m / m! c_m,
-        c_m = sum_{n<=m} y^n phase_bar^(m-n) / n! = phase_bar c_{m-1} + y^m / m!.
-
-    The c_m depend on y and phase_bar only, so one scalar recurrence forms them
-    for the whole call.  As |phase_bar| = 1, |c_m| <= s_m = sum_{n<=m} y^n / n!,
-    and t_m = s_m x^m / m! bounds term m.  Each point stops at its first m with
-    x / (m+1) < 1/2 and t_m <= tol/2; as t_{m+1} = x t_m / (m+1) + (xy)^{m+1} /
-    (m+1)!^2, the omitted tail is then of the order of tol.  The rule bounds
-    truncation only; rounding error grows with the largest t_m.  The widest
-    point's degree M sizes the one (degree x point) block, and every point has
-    stopped by M, as its t_m and x / (m+1) are no larger.  Where s_m would
-    overflow (y past ~709), c_m and s_m are kept over a power of two g_m and
-    (-x)^m / m! times it; scaling by a power of two is exact, so every
-    operation gives the unscaled loop's value times g_m.  A call is refused
-    where the sum over orders that this replaced refused it (_orders_settle).
-    The terms are added in order of m, as a point-by-point loop would, so a
-    point gets the same value alone as in any array.
+    As B_q(x, y) = (-1)^q (x/y)^(q/2) J_q(z) with z = 2 sqrt(xy), the sum is
+    sum_q w^q J_q(z) with w = -phase_bar sqrt(x/y), |w| <= 1.  Each point runs
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} (DLMF 3.6(vi),
+    10.74(iv)) from J_M = 1, J_{M+1} = 0 at its own even M >= z + 10 +
+    4 sqrt(z), where |J_M(z)| < 1.4e-14 and falling fast, takes the q-sum by
+    Horner's rule along it, and divides by J_0 + 2 sum_k J_2k, which is 1 for
+    the true values.  Before a step that would take |J_k| 2k/z past _BIG, every
+    running value of the point is scaled by the power of two that brings J_k
+    into [1/2, 1), which is exact.  z = 0 gives 1.  A single point runs its
+    steps in Python floats, an array runs the same steps elementwise from the
+    largest M, each entry on zeros until its own M; the arithmetic is real, so
+    a point gets the same value alone as in any array.
     """
-    step, bound, coef = _order_coefficients(float(x.max(initial=0.0)), y, phase_bar)
-    degree = np.arange(step.size)[:, None]
-    p = np.empty((step.size, x.size))  # row m: (-x)^m / m! times g_m
-    p[0] = 1.0
-    np.divide(-x, degree[1:], out=p[1:])
-    if step.max() > 1.0:
-        p[1:] *= step[1:, None]
-    np.multiply.accumulate(p, out=p)
-    done = (bound[:, None] * np.abs(p) <= 0.5 * DEFAULT_TOL) & (x / (degree + 1) < 0.5)
-    stop = done.argmax(axis=0)
-    return np.add.accumulate(np.where(degree <= stop, p * coef[:, None], 0.0))[-1]
+    z = 2.0 * np.sqrt(x * y)
+    live = z > 0
+    with np.errstate(invalid="ignore"):  # y = 0 only where x = 0, so z = 0
+        w = np.sqrt(x / y)
+    w_re, w_im = -phase_bar.real * w, -phase_bar.imag * w
+    top = 2.0 * np.ceil((z + 10.0 + 4.0 * np.sqrt(z)) / 2.0)
+    if x.size == 1:
+        point = (float(z[0]), float(w_re[0]), float(w_im[0]), int(top[0]))
+        return np.array([_order_sum_point(*point) if live[0] else 1.0], dtype=complex)
+    z = np.where(live, z, 1.0)  # the steps of a point with z = 0 are discarded below
+    starts = {int(k): np.flatnonzero(top == k) for k in set(top.tolist())}
+    j, jp, h_re, h_im, norm = (np.zeros(x.size) for _ in range(5))
+    with np.errstate(over="ignore"):
+        for k in range(int(top.max(initial=0.0)), 0, -1):
+            if k in starts:
+                new = starts[k]
+                j[new], h_re[new], h_im[new], norm[new] = 1.0, 1.0, 0.0, 2.0
+            r = 2.0 * k / z
+            big = np.abs(j) * r > _BIG
+            if big.any():
+                f = np.ldexp(1.0, -np.frexp(j[big])[1])
+                for a in (j, jp, h_re, h_im, norm):
+                    a[big] *= f
+            j, jp, h_re, h_im = _miller_step(r, j, jp, h_re, h_im, w_re, w_im)
+            if k % 2:
+                norm += j if k == 1 else 2.0 * j
+    out = np.ones(x.size, dtype=complex)
+    out.real[live] = (h_re / norm)[live]
+    out.imag[live] = (h_im / norm)[live]
+    return out
 
 
 def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray]:
@@ -296,8 +255,7 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     nu*B_0((y-a)|nu|, (b-x)|nu|) + |nu|*B_1((b-a)|nu|, (y-x)|nu|)
     - (nu + conj(nu)) * sum_q B_q((y-x)|nu|, (b-a)|nu|) (conj(nu)/|nu|)^q.
 
-    The q-sum is summed by total degree (see _order_sum); each point stops
-    at its own degree.
+    The q-sum is one backward recurrence per point (see _order_sum).
     """
     x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < v) & (v < iv.b),
                    f"the causal region of {iv}")

@@ -1,14 +1,13 @@
 """Scalar slow path of the kernel layer: the oracle for its array evaluation.
 
 ``causalprod.kernel`` evaluates B_j, G_j, the order sum and every quadrature
-panel as numpy arrays through one series core.  This module keeps the
-point-by-point loops that the array core replaced, so that the differential
-tests in ``test_kernel_arrays.py`` compare the fast path with the slow one and
-not with itself.  The loops go one point at a time: one partial sum per
-point, the order sum summed by total degree with one degree per step (the
-fast path forms its coefficients once per call and every point's terms in one
-block), one scalar kernel call per Gauss-Legendre node, and one quadrature per
-residual.
+panel as numpy arrays.  This module keeps point-by-point loops, so that the
+differential tests in ``test_kernel_arrays.py`` compare the fast path with a
+slow one and not with itself.  The loops go one point at a time: one partial
+sum per point, the order sum summed by total degree with one degree per step
+(the fast path takes it along a backward Bessel recurrence), one scalar
+kernel call per Gauss-Legendre node, and one quadrature per residual.  The
+mpmath references of B_j and of the order sum sit here too.
 """
 from __future__ import annotations
 
@@ -19,6 +18,8 @@ import numpy as np
 from causalprod.kernel import ComplexParam, Interval
 
 _MAX_TERMS = 600
+# the order sum is summed to rounding, so its oracle truncates past the series tolerance
+ORDER_SUM_TOL = 1e-16
 
 
 def bessel_series_slow(j: int, x: float, y: float, tol: float) -> float:
@@ -68,6 +69,36 @@ def order_sum_slow(x: float, y: float, phase_bar: complex, tol: float) -> comple
     return acc
 
 
+def bessel_b_mpmath(j: int, x, y):
+    """B_j(x, y) = (-1)^j (x/y)^(j/2) J_j(2 sqrt(xy)) in mpmath, at its current precision."""
+    import mpmath
+
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    return (-1) ** j * (x / y) ** (j / 2) * mpmath.besselj(j, 2 * mpmath.sqrt(x * y))
+
+
+def order_sum_mpmath(x, y, phase_bar):
+    """sum_q B_q(x, y) phase_bar^q in mpmath, at its current precision, for 0 <= x <= y.
+
+    The orders are summed as sum_q w^q J_q(z), w = -phase_bar sqrt(x/y) and
+    z = 2 sqrt(xy), one mpmath.besselj per order, up to the first order past z
+    whose term is below 10^(5 - dps).
+    """
+    import mpmath
+
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    w = -mpmath.mpc(phase_bar) * mpmath.sqrt(x / y)
+    z = 2 * mpmath.sqrt(x * y)
+    eps = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    acc, q = mpmath.mpc(0), 0
+    while True:
+        term = w**q * mpmath.besselj(q, z)
+        acc += term
+        if q > z and abs(term) < eps:
+            return acc
+        q += 1
+
+
 def kernel_causal_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
                        tol: float) -> complex:
     r = nu.modulus
@@ -78,7 +109,8 @@ def kernel_causal_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
     total += r * bessel_series_slow(1, iv.width * r, (y - x) * r, tol)
     two_lam = v + v.conjugate()
     if two_lam != 0:
-        total -= two_lam * order_sum_slow((y - x) * r, iv.width * r, v.conjugate() / r, tol)
+        total -= two_lam * order_sum_slow((y - x) * r, iv.width * r, v.conjugate() / r,
+                                          ORDER_SUM_TOL)
     return total
 
 

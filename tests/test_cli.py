@@ -324,8 +324,9 @@ def test_unsettled_series_fails_in_one_line(tmp_path, capsys, argv):
 
 
 def test_kernel_answers_where_its_order_sum_settles(tmp_path):
-    # the order sum's terms reach ~2^137 at (0.25, 0.75), so the values have no
-    # correct digit (ROADMAP item 1), but its orders settle and the grid is written
+    # the order sum is right to rounding here, but the alternating series of B_0
+    # and B_1 lose every digit to cancellation at xy ~ 5,000 (values up to ~1.6e48,
+    # ROADMAP item 1); nothing refuses them, and the grid is written
     out = tmp_path / "a.json"
     assert _run(["kernel", "--lambda", "100", "--mu", "0", "--n", "3", "--s-max", "0",
                  "--out", str(out)]) == 0

@@ -227,7 +227,7 @@ def test_bessel_series_matches_mpmath_below_cancellation(x):
     assert abs(bessel_series(0, x, x) - float(mpmath.besselj(0, 2 * x))) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: cancellation in the alternating "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: cancellation in the alternating "
                    "series; B_0(20, 20) comes out as -0.090 where J_0(40) = 0.0074")
 def test_bessel_series_matches_mpmath_at_large_argument():
     mpmath = pytest.importorskip("mpmath")

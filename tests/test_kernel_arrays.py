@@ -3,9 +3,10 @@
 ``kernel_oracle`` keeps the point-by-point loops; every array evaluation here
 must agree with them to REL relative (absolute below magnitude 1).  The
 parameters are seeded with |nu|(b - a) <= 3, where cancellation in the
-alternating series costs no more than a few ulps.  The oracle loops run at the
-kernel's one truncation tolerance, ``kernel.DEFAULT_TOL``; that every element
-stops at its own term is checked bit for bit.
+alternating series costs no more than a few ulps.  The series loops run at the
+kernel's one truncation tolerance, ``kernel.DEFAULT_TOL``, and that every
+element stops at its own term is checked bit for bit; the order sum's loop runs
+to 1e-16, as the fast order sum is exact to rounding.
 """
 import math
 import random
@@ -27,13 +28,14 @@ from causalprod.kernel import (
     sonine_gegenbauer_residual,
 )
 from kernel_oracle import (
+    bessel_b_mpmath,
     bessel_profile_slow,
     bessel_series_slow,
     isometry_residual_slow,
     kernel_anticausal_slow,
     kernel_causal_slow,
     lommel_residual_slow,
-    order_sum_slow,
+    order_sum_mpmath,
     sonine_gegenbauer_residual_slow,
 )
 
@@ -140,78 +142,92 @@ def test_single_points_go_through_bessel_series(monkeypatch):
     assert len(calls) == 6
 
 
-def test_overflowing_orders_raise_without_numpy_warnings():
-    # (y-x)|nu| = 70: 70^q / q! drops below 1e-12 only past q = 170, and (-x)^q
-    # overflows from q = 168, so the order sum refuses before it forms any order
-    iv, nu = Interval(0.0, 1.0), ComplexParam(70.0 * 1.2, 0.0)
+def test_order_sum_past_order_170_runs_without_numpy_warnings():
+    # (y-x)|nu| = 70, (b-a)|nu| = 84: the orders of the sum run past 170, where
+    # q! and 70^q leave the float range, and the recurrence never forms either
+    mpmath = pytest.importorskip("mpmath")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="needs orders past 170"):
-            kernel_causal(0.0, 1.0 / 1.2, iv, nu)
+        fast = kernel._order_sum(np.array([70.0]), 84.0, 1j)[0]
+    with mpmath.workdps(30):
+        ref = complex(order_sum_mpmath(70.0, 84.0, 1j))
+    assert abs(fast - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_order_sum_is_one_block_sized_up_front(monkeypatch):
-    # at (b-a)|nu| = 5.5 the wide pair has x = (y-x)|nu| = 5.39, and the oracle's
-    # loop stops there at degree 36: one scalar recurrence forms the coefficients
-    # of degrees 0..36 for both pairs, and the narrow pair's sum still stops at its
-    # own degree.  B_0 and B_1 are the only series calls: the settling check finds
-    # orders 32..34 quiet at the wide pair (5.39^q / q! < 1e-12 from Q = 32) in
-    # scalar loops, so the block of orders 0..34 is not formed
-    series, recurrences = [], []
-    core, coefficients = kernel._alt_series, kernel._order_coefficients
+    # at (b-a)|nu| = 5.5 the wide pair has (y-x)|nu| = 5.39 and its recurrence
+    # starts at order 36, the narrow pair's at 26: both run in one array pass from
+    # order 36, the narrow one on zeros until its own start, so it gets the value
+    # of its own single-point call bit for bit.  B_0 and B_1 are the only series
+    # calls, one block of both pairs each; at xy ~ 30 they lose ~4e-13 to
+    # cancellation, so the values are held to mpmath at 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    series = []
+    core = kernel._alt_series
 
     def spy_series(first, z, j):
         out = core(first, z, j)
         series.append(out.shape)
         return out
 
-    def spy_coefficients(x_max, y, phase_bar):
-        out = coefficients(x_max, y, phase_bar)
-        recurrences.append((x_max, out[2].size))
-        return out
-
     monkeypatch.setattr(kernel, "_alt_series", spy_series)
-    monkeypatch.setattr(kernel, "_order_coefficients", spy_coefficients)
     iv, nu = IV, ComplexParam(4.4, 3.3)
     x, y = np.array([0.01, 0.3]), np.array([0.99, 0.6])
     fast = kernel_causal(x, y, iv, nu)
     assert series == [(2,), (2,)]
-    assert recurrences == [(pytest.approx(5.39), 37)]
-    assert _close(fast, [kernel_causal_slow(u, v, iv, nu, 1e-12) for u, v in zip(x, y)])
+    ref = np.array([_causal_mpmath(mpmath, u, v, iv, nu) for u, v in zip(x, y)])
+    assert np.all(np.abs(fast - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     phase_bar, width = nu.value.conjugate() / nu.modulus, iv.width * nu.modulus
     both = kernel._order_sum((y - x) * nu.modulus, width, phase_bar)
     assert both[1] == kernel._order_sum((y - x)[1:] * nu.modulus, width, phase_bar)[0]
 
 
-@pytest.mark.parametrize("x, y, settles", [
-    (0.3, 3000.0, True), (0.36, 3000.0, False), (25.0, 100.0, True), (50.0, 136.0, True),
-])
-def test_order_sum_refuses_what_the_sum_over_orders_refused(x, y, settles):
-    # the sum over orders refused a call whose widest point had no three quiet
-    # orders among 0..Q+2, and answered the others whatever their terms: they
-    # reach ~2^79 at 0.3 and 3000, ~2^137 at 25 and 100 (`kernel --lambda 100
-    # --n 3`) and ~2^230 at 50 and 136, so none of these values has a correct
-    # digit (ROADMAP item 1)
-    if settles:
-        assert np.isfinite(kernel._order_sum(np.array([0.1, x]), y, 1j)).all()
-    else:
-        with pytest.raises(ArithmeticError, match=f"order sum at x = {x:g} did not settle"):
-            kernel._order_sum(np.array([0.1, x]), y, 1j)
+@pytest.mark.parametrize("x, y", [(0.3, 3000.0), (0.36, 3000.0), (25.0, 100.0), (50.0, 136.0)])
+def test_order_sum_answers_where_the_sum_by_degree_failed(x, y):
+    # the sum by degree refused (0.36, 3000), where the sum over orders before it
+    # did not settle, and gave the other three with no correct digit: its terms
+    # reached ~2^79, ~2^137 (`kernel --lambda 100 --n 3`) and ~2^230
+    mpmath = pytest.importorskip("mpmath")
+    fast = kernel._order_sum(np.array([0.1, x]), y, 1j)
+    with mpmath.workdps(30):
+        ref = np.array([complex(order_sum_mpmath(u, y, 1j)) for u in (0.1, x)])
+    assert np.all(np.abs(fast - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_order_sum_scales_its_coefficients_beyond_float_range():
-    # y^m / m! passes 2^600 at both points, so the coefficients are kept over a
-    # power of two: exact, so the sum equals the unscaled loop's while that loop
-    # stays finite (y = 5e6), and is still found where the loop overflows (y = 1e10)
-    step, _, _ = kernel._order_coefficients(2e-5, 5e6, 1j)
-    assert step.max() > 1.0
-    fast = kernel._order_sum(np.array([2e-5]), 5e6, 1j)[0]
-    assert fast == order_sum_slow(2e-5, 5e6, 1j, 1e-12)
-    with pytest.raises(ArithmeticError):
-        order_sum_slow(1e-8, 1e10, 1j, 1e-12)
+def test_order_sum_scales_its_coefficients_beyond_float_range(monkeypatch):
+    # at x = 1e-300, y = 1 each step multiplies J_k by 2k/z ~ 1e150, so the
+    # recurrence's values (the coefficients of the sum as a power series in w)
+    # are scaled by powers of two as they go: the sum is B_0 - i B_1 = 1 - 1e-300 i
+    # to rounding, alone as in an array; unscaled, the same steps overflow
+    tiny = np.array([1e-300])
+    alone = kernel._order_sum(tiny, 1.0, 1j)[0]
+    assert alone.real == kernel.bessel_series(0, 1e-300, 1.0) == 1.0
+    assert alone.imag == pytest.approx(-1e-300, rel=1e-15)
+    assert kernel._order_sum(np.array([1e-300, 1e-301]), 1.0, 1j)[0] == alone
+    # at y = 1e10 the sum is B_0(x, y) = J_0(20) to within |B_1| ~ 7e-11
     fast = kernel._order_sum(np.array([1e-8]), 1e10, 1j)[0]
-    # B_0(x, y) = J_0(20) is the whole sum to within |B_1| ~ 7e-11
     assert abs(fast - kernel.bessel_series(0, 1e-8, 1e10)) < 1e-9
+    monkeypatch.setattr(kernel, "_BIG", math.inf)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(kernel._order_sum(tiny, 1.0, 1j)).all()
+        assert not np.isfinite(kernel._order_sum(np.array([1e-300, 1e-301]), 1.0, 1j)).all()
+
+
+def test_order_sum_matches_mpmath_over_a_sweep():
+    # 60 seeded points with (b-a)|nu| = y log-uniform in [0.01, 200], x = y U^2
+    # and a uniform phase, through the array and the single-point path
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20151116)
+    for _ in range(60):
+        y = math.exp(rng.uniform(math.log(0.01), math.log(200.0)))
+        x, theta = y * rng.random() ** 2, rng.uniform(-math.pi, math.pi)
+        phase_bar = complex(math.cos(theta), math.sin(theta))
+        with mpmath.workdps(30):
+            ref = complex(order_sum_mpmath(x, y, phase_bar))
+        pair = kernel._order_sum(np.array([x, 0.5 * x]), y, phase_bar)[0]
+        alone = kernel._order_sum(np.array([x]), y, phase_bar)[0]
+        for fast in (pair, alone):
+            assert abs(fast - ref) <= 1e-13 * max(1.0, abs(ref)), (x, y, phase_bar)
 
 
 @pytest.mark.parametrize("iv, nu", _cases(8, seed=7, reach=6.0)[2:])
@@ -307,11 +323,7 @@ def test_gauss_legendre_nodes_match_leggauss():
 
 
 def _causal_mpmath(mpmath, x, y, iv, nu):
-    """kernel_causal in 30 digits, from B_j(x, y) = (-1)^j (x/y)^(j/2) J_j(2 sqrt(xy))."""
-    def b(j, u, v):
-        u, v = mpmath.mpf(u), mpmath.mpf(v)
-        return (-1) ** j * (u / v) ** (j / 2) * mpmath.besselj(j, 2 * mpmath.sqrt(u * v))
-
+    """kernel_causal in 30 digits, from the mpmath references of kernel_oracle."""
     with mpmath.workdps(30):
         r = mpmath.sqrt(mpmath.mpf(nu.lam) ** 2 + mpmath.mpf(nu.mu) ** 2)
         if r == 0:
@@ -319,14 +331,10 @@ def _causal_mpmath(mpmath, x, y, iv, nu):
         v = mpmath.mpc(nu.lam, nu.mu)
         a, w = mpmath.mpf(iv.a), mpmath.mpf(iv.b) - mpmath.mpf(iv.a)
         x, y = mpmath.mpf(x), mpmath.mpf(y)
-        total = v * b(0, (y - a) * r, (a + w - x) * r) + r * b(1, w * r, (y - x) * r)
+        total = (v * bessel_b_mpmath(0, (y - a) * r, (a + w - x) * r)
+                 + r * bessel_b_mpmath(1, w * r, (y - x) * r))
         if nu.lam != 0:
-            q, acc, phase_bar = 0, 0, mpmath.conj(v) / r
-            while q < 4 or abs(bq) > mpmath.mpf(10) ** -25:
-                bq = b(q, (y - x) * r, w * r)
-                acc += bq * phase_bar**q
-                q += 1
-            total -= 2 * nu.lam * acc
+            total -= 2 * nu.lam * order_sum_mpmath((y - x) * r, w * r, mpmath.conj(v) / r)
         return complex(total)
 
 
@@ -343,7 +351,9 @@ def test_kernel_matches_mpmath_within_reach(iv, nu):
 
 def test_grid_call_memory_stays_small():
     # one 61 x 61 limit_kernel call at |nu| = 8 held an (order x point x term)
-    # block of ~111 MB under the sum over quiet orders; the degree block is ~4 MB
+    # block of ~111 MB under an earlier order sum; the order sum's recurrence
+    # keeps five values per point, and the peak (~2.6 MB) is B_0's and B_1's
+    # series blocks
     pts = np.linspace(0.0, 1.0, 63)[1:-1]
     nu = ComplexParam(6.0, 5.3)
     limit_kernel(pts[:2, None], pts[None, :2], IV, nu)
