@@ -6,7 +6,8 @@ values are always split into re/im columns.  Exit status is 0 iff every check
 of the invoked command passed at the configured tolerance, 1 when a check
 failed or a value could not be computed (an ArithmeticError), and 2 when the
 arguments or RunConfig, which holds each command's limits, refuse the run or the
-artifact cannot be written.  Every non-zero exit prints one stderr line.
+artifact cannot be written.  Every non-zero exit prints one stderr line; a
+failed check prints it after the artifact, naming what failed.
 """
 from __future__ import annotations
 
@@ -38,8 +39,11 @@ def _finite(value) -> bool:
 
 
 def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict,
-          status: int) -> int:
-    """Write the artifact unless a float is non-finite; return status, or 2 if --out fails."""
+          failed: Sequence[str]) -> int:
+    """Write the artifact unless a float is non-finite; return 0, or 2 if --out fails.
+
+    With failed checks, one line naming them follows the artifact, and the status is 1.
+    """
     if not _finite([rows, extra]):
         raise ArithmeticError("a reported value is not finite")
     if cfg.fmt == "csv":
@@ -54,20 +58,22 @@ def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict,
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if not cfg.out:
         sys.stdout.write(text)
-        return status
-    try:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        sys.stderr.write(f"cannot write artifact: {exc}\n")
-        return 2
-    return status
+    else:
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"cannot write artifact: {exc}\n")
+            return 2
+    if failed:
+        sys.stderr.write(f"check failed: {'; '.join(failed)}\n")
+        return 1
+    return 0
 
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     """Closed-form vs brute-force coefficient tables for degrees up to s_max."""
     rows = []
-    all_match = True
     for s in range(1, cfg.s_max + 1):
         for m, n, p in coeff.degree_terms(s):
             for q in range(0, s + 1):
@@ -78,61 +84,59 @@ def cmd_coeffs(cfg: RunConfig) -> int:
                 if max(abs(dc), abs(db), abs(ec), abs(eb)) == 0:
                     continue
                 match = dc == db and ec == eb
-                all_match = all_match and match
                 rows.append({"m": m, "n": n, "p": p, "q": q,
                              "D_closed": dc, "D_brute": db,
                              "E_closed": ec, "E_brute": eb,
                              "match": int(match)})
     headers = ["m", "n", "p", "q", "D_closed", "D_brute", "E_closed", "E_brute", "match"]
-    return _emit(cfg, headers, rows, {"s_max": cfg.s_max, "all_match": all_match},
-                 0 if all_match else 1)
+    bad = [(r["m"], r["n"], r["p"], r["q"]) for r in rows if not r["match"]]
+    failed = [f"counts differ in {len(bad)} rows, first (m, n, p, q) = {bad[0]}"] if bad else []
+    return _emit(cfg, headers, rows, {"s_max": cfg.s_max, "all_match": not bad}, failed)
 
 
 def cmd_verify(cfg: RunConfig,
                forward_count: Callable[[int, int, int, int], int] | None = None) -> int:
     """Run every identity check and emit a pass/fail report."""
     iv, nu = cfg.interval, cfg.param
-    checks: list[dict] = []
+    rows: list[dict] = []
 
     failures = sum(not catalan_recurrence_holds(m, n, p)
                    for m in range(-8, 9) for n in range(9) for p in range(-8, min(m, 8) + 1)
                    if m + n + p + 1 >= 0)
-    checks.append({"name": "catalan_recurrence", "params": "|m|,|n|,|p| <= 8",
-                   "residual": float(failures), "tolerance": 0.0, "pass": failures == 0})
+    rows.append({"name": "catalan_recurrence", "params": "|m|,|n|,|p| <= 8",
+                 "residual": float(failures), "tolerance": 0.0, "pass": int(failures == 0)})
 
     triples, xi_max = coeff.identity_triples(cfg.s_max), cfg.s_max + 2
-    table = coeff.CountTable.for_identity(cfg.s_max, xi_max, forward_count)
-    res = coeff.unitarity_identity_residuals(triples, xi_max, table)
+    res = coeff.unitarity_identity_residuals(triples, xi_max,
+                                             forward_count or coeff.forward_count_closed)
     # each triple is checked for xi <= alpha + beta + gamma + 2
     checked = np.arange(xi_max + 1) <= triples.sum(axis=1, keepdims=True) + 2
     worst = int(np.abs(res[checked]).max())
-    checks.append({"name": "unitarity_coefficient_identity",
-                   "params": f"alpha+beta+gamma <= {cfg.s_max}",
-                   "residual": float(worst), "tolerance": 0.0, "pass": worst == 0})
+    rows.append({"name": "unitarity_coefficient_identity",
+                 "params": f"alpha+beta+gamma <= {cfg.s_max}",
+                 "residual": float(worst), "tolerance": 0.0, "pass": int(worst == 0)})
 
     u, v = np.array(((0.15, 0.25, 0.4, 0.1, 0.55), (0.45, 0.75, 0.6, 0.9, 0.85)))
     iso = float(np.abs(ker.isometry_residual(iv.a + u * iv.width, iv.a + v * iv.width,
                                              iv, nu)).max())
-    checks.append({"name": "isometry_identity", "params": f"nu={nu.value}, 5 points",
-                   "residual": iso, "tolerance": cfg.tol, "pass": iso < cfg.tol})
+    rows.append({"name": "isometry_identity", "params": f"nu={nu.value}, 5 points",
+                 "residual": iso, "tolerance": cfg.tol, "pass": int(iso < cfg.tol)})
 
     alpha, beta = np.array([[1.0], [0.5], [3.0]]), np.array([[2.0], [1.5], [1.0]])
     lom = float(ker.lommel_residual(alpha, beta, np.array([0.5, 1.0, 2.0])).max())
-    checks.append({"name": "lommel_integral", "params": "3x3 grid",
-                   "residual": lom, "tolerance": cfg.tol, "pass": lom < cfg.tol})
+    rows.append({"name": "lommel_integral", "params": "3x3 grid",
+                 "residual": lom, "tolerance": cfg.tol, "pass": int(lom < cfg.tol)})
 
     sg = float(ker.sonine_gegenbauer_residual(np.array([[0.5], [1.0], [2.0]]),
                                               np.array([0.4, 1.0, 1.6])).max())
-    checks.append({"name": "sonine_gegenbauer_integral", "params": "3x3 grid",
-                   "residual": sg, "tolerance": cfg.tol, "pass": sg < cfg.tol})
+    rows.append({"name": "sonine_gegenbauer_integral", "params": "3x3 grid",
+                 "residual": sg, "tolerance": cfg.tol, "pass": int(sg < cfg.tol)})
 
-    rows = [{"name": c["name"], "params": c["params"], "residual": c["residual"],
-             "tolerance": c["tolerance"], "pass": int(c["pass"])} for c in checks]
-    ok = all(c["pass"] for c in checks)
+    failed = [r["name"] for r in rows if not r["pass"]]
     return _emit(cfg, ["name", "params", "residual", "tolerance", "pass"], rows,
                  {"config": {"a": cfg.a, "b": cfg.b, "lambda": cfg.lam, "mu": cfg.mu,
-                             "tol": cfg.tol, "s_max": cfg.s_max}, "all_pass": ok},
-                 0 if ok else 1)
+                             "tol": cfg.tol, "s_max": cfg.s_max}, "all_pass": not failed},
+                 failed)
 
 
 def cmd_converge(cfg: RunConfig) -> int:
@@ -140,11 +144,13 @@ def cmd_converge(cfg: RunConfig) -> int:
     study = prod.convergence_study(cfg.n_list, cfg.interval, cfg.param)
     rows = [{"n": n, "max_error": err, "fitted_rate": study.fitted_rate}
             for n, err in zip(study.ns, study.max_errors)]
-    ok = all(e1 >= e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
-    ok = ok and all(e <= b for e, b in zip(study.max_errors, study.bounds))
+    errs = study.max_errors
+    failed = [] if all(e1 >= e2 for e1, e2 in zip(errs, errs[1:])) else ["max_error rises with n"]
+    over = [str(n) for n, e, b in zip(study.ns, errs, study.bounds) if not e <= b]
+    failed += [f"max_error above its bound at n = {', '.join(over)}"] if over else []
     return _emit(cfg, ["n", "max_error", "fitted_rate"], rows,
                  {"bounds": list(study.bounds), "fitted_rate": study.fitted_rate,
-                  "all_pass": ok}, 0 if ok else 1)
+                  "all_pass": not failed}, failed)
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
@@ -169,7 +175,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
     if cfg.s_max >= 1:
         headers += ["series_re", "series_im", "abs_diff"]
     extra = {"n": cfg.n, "s_max": cfg.s_max, "max_series_diff": worst}
-    return _emit(cfg, headers, rows, extra, 0)
+    return _emit(cfg, headers, rows, extra, ())
 
 
 class _Parser(argparse.ArgumentParser):

@@ -166,53 +166,40 @@ _EXACT_BOUND = 2.0 ** 62
 _CHUNK = 1 << 12
 
 
-class CountTable:
-    """Forward counts count(m, n, p, q) for m + n + p <= w_max, q in [q_lo, q_hi].
+@lru_cache(maxsize=None)
+def _identity_table(count: Callable[[int, int, int, int], int], w: int,
+                    xi_max: int) -> tuple[np.ndarray, int]:
+    """Every count(m, n, p, q) the identity reads at weight <= w and xi <= xi_max.
 
-    Built once from a pure ``count`` function, called on every index of the
-    window: ``counts[m, n, p, q - q_lo]`` is exact int64, and rows of weight
-    above w_max hold zeros that the identity never reads.  A count that does
+    For alpha + beta + gamma <= w and 0 <= xi <= X = xi_max, every row the
+    identity reads has weight <= w, and its q-indices are:
+
+    - ``count(alpha, beta, gamma, xi)``: q = xi, in [0, X];
+    - the triple sum: q = xi - gamma + p - 1 with 0 <= p <= gamma, in
+      [-w - 1, X - 1];
+    - the left factor: q = t1, in [0, X];
+    - the right factor: q = w_R + 1 - (xi - t1) with row weight w_R in
+      [0, w - 1] and 0 <= t1 <= xi, in [1 - X, w].
+
+    Hence the window [min(-w - 1, 1 - X), max(X, w)]; for verify's X = w + 2
+    that is [-(w + 1), w + 2].  ``count`` must be pure: it is called once on
+    every index of the window, and the table is kept for the next call.
+    Returns the read-only int64 table, ``tab[(m * (w + 1) + n) * (w + 1) + p,
+    q - q_lo]`` with zero rows above weight w, and q_lo.  A count that does
     not fit in int64 raises ArithmeticError.
     """
-
-    def __init__(self, count: Callable[[int, int, int, int], int],
-                 w_max: int, q_lo: int, q_hi: int) -> None:
-        self.w_max, self.q_lo, self.q_hi = w_max, q_lo, q_hi
-        size = w_max + 1
-        self.counts = np.zeros((size, size, size, q_hi - q_lo + 1), dtype=np.int64)
-        for m in range(size):
-            for n in range(size - m):
-                for p in range(size - m - n):
-                    row = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
-                    if max(map(abs, row)) >= 2 ** 63:
-                        raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
-                    self.counts[m, n, p] = row
-
-    @classmethod
-    def for_identity(cls, w_max: int, xi_max: int,
-                     count: Callable[[int, int, int, int], int] | None = None) -> "CountTable":
-        """Table for every identity residual with alpha+beta+gamma <= w_max, xi <= xi_max.
-
-        For alpha + beta + gamma = w and 0 <= xi <= X, every row the identity
-        reads has weight <= w, and its q-indices are:
-
-        - ``count(alpha, beta, gamma, xi)``: q = xi, in [0, X];
-        - the triple sum: q = xi - gamma + p - 1 with 0 <= p <= gamma, in
-          [-w - 1, X - 1];
-        - the left factor: q = t1, in [0, X];
-        - the right factor: q = w_R + 1 - (xi - t1) with row weight w_R in
-          [0, w - 1] and 0 <= t1 <= xi, in [1 - X, w].
-
-        Hence the window [min(-w - 1, 1 - X), max(X, w)]; for verify's
-        X = w + 2 that is [-(w + 1), w + 2].
-        """
-        q_lo, q_hi = min(-w_max - 1, 1 - xi_max), max(xi_max, w_max)
-        return cls(count or forward_count_closed, w_max, q_lo, q_hi)
-
-
-@lru_cache(maxsize=None)
-def _closed_table(w: int, xi_max: int) -> CountTable:
-    return CountTable.for_identity(w, xi_max)
+    q_lo, q_hi = min(-w - 1, 1 - xi_max), max(xi_max, w)
+    size = w + 1
+    tab = np.zeros((size ** 3, q_hi - q_lo + 1), dtype=np.int64)
+    for m in range(size):
+        for n in range(size - m):
+            for p in range(size - m - n):
+                row = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
+                if max(map(abs, row)) >= 2 ** 63:
+                    raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
+                tab[(m * size + n) * size + p] = row
+    tab.flags.writeable = False
+    return tab, q_lo
 
 
 def identity_triples(w_max: int) -> np.ndarray:
@@ -241,7 +228,7 @@ def _segment_sums(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     return owner[starts], np.add.reduceat(values, starts, axis=0)
 
 
-def _pair_table(tab: np.ndarray, size: int, q_lo: int, w: int,
+def _pair_table(tab: np.ndarray, q_lo: int, w: int,
                 xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The q-correlation of every (left row, right row) pair of total weight below w.
 
@@ -258,7 +245,7 @@ def _pair_table(tab: np.ndarray, size: int, q_lo: int, w: int,
     with ``l = left[row]`` and ``r = right[row]`` (-1 for a zero row).
     Returns (P, offset, left, right) with P of shape (pairs, xi_max + 1).
     """
-    span = np.arange(xi_max + 1)
+    span, size = np.arange(xi_max + 1), w + 1
     rows = np.array([(m, n, c - m - n) for c in range(w) for m in range(c + 1)
                      for n in range(c + 1 - m)], dtype=np.int64).reshape(-1, 3)
     weight = rows.sum(axis=1)
@@ -268,9 +255,9 @@ def _pair_table(tab: np.ndarray, size: int, q_lo: int, w: int,
     lnz, rnz = lvec.any(axis=1), rvec.any(axis=1)
     lvec, lw = lvec[lnz], weight[lnz]
     rvec, rw = rvec[rnz], weight[rnz]
-    left = np.full(size ** 3, -1)
+    left = np.full(len(tab), -1)
     left[flat[lnz]] = np.arange(lw.size)
-    right = np.full(size ** 3, -1)
+    right = np.full(len(tab), -1)
     right[flat[rnz]] = np.arange(rw.size)
     prefix = np.searchsorted(rw, w - 1 - lw, side="right")
     offset = np.cumsum(prefix) - prefix
@@ -290,38 +277,37 @@ def _pair_table(tab: np.ndarray, size: int, q_lo: int, w: int,
     return pairs, offset, left, right
 
 
-def unitarity_identity_residuals(triples, xi_max: int, table: CountTable) -> np.ndarray:
+def unitarity_identity_residuals(triples, xi_max: int,
+                                 count: Callable[[int, int, int, int], int]) -> np.ndarray:
     """Residuals of the unitarity coefficient identity, exact, for xi = 0..xi_max.
 
-    Row i holds the residuals of triples[i] = (alpha, beta, gamma); ``table``
-    must cover every triple (see :meth:`CountTable.for_identity`), else
-    IndexError, so that an entry never evaluated cannot read as zero.  One
-    pass serves every triple: the q-correlations of the 5-fold sum are formed
-    once per (left row, right row) pair (see :func:`_pair_table`), the index
-    tuples of both multi-sums are enumerated in fixed-size chunks of triples
-    by repeat expansions, tuples whose left or right row is zero are dropped,
-    and each triple's terms are added as one segment.  Every partial sum is
-    bounded in float64 first; a bound of 2**62 or more raises ArithmeticError
-    rather than let int64 wrap.
+    Row i holds the residuals of triples[i] = (alpha, beta, gamma) for the
+    forward counts ``count``, a pure function tabulated once per (count,
+    weight, xi_max) on every index the identity reads (see
+    :func:`_identity_table`).  One pass serves every triple: the
+    q-correlations of the 5-fold sum are formed once per (left row, right
+    row) pair (see :func:`_pair_table`), the index tuples of both multi-sums
+    are enumerated in fixed-size chunks of triples by repeat expansions,
+    tuples whose left or right row is zero are dropped, and each triple's
+    terms are added as one segment.  Every partial sum is bounded in float64
+    first; a bound of 2**62 or more raises ArithmeticError rather than let
+    int64 wrap.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if xi_max < 0 or (triples < 0).any():
         raise ValueError("indices must be >= 0")
     alpha, beta, gamma = triples.T
-    w, X, size = int(triples.sum(axis=1).max(initial=0)), xi_max, table.w_max + 1
-    if w > table.w_max or min(-w - 1, 1 - X) < table.q_lo or max(X, w) > table.q_hi:
-        raise IndexError(f"the identity at weight {w}, xi <= {X} reads count(m, n, p, q) for "
-                         f"q in [{min(-w - 1, 1 - X)}, {max(X, w)}], outside the table "
-                         f"(weight <= {table.w_max}, q in [{table.q_lo}, {table.q_hi}])")
-    tab = table.counts.reshape(size ** 3, -1)
+    w, X = int(triples.sum(axis=1).max(initial=0)), xi_max
+    size = w + 1
+    tab, q_lo = _identity_table(count, w, X)
     span = np.arange(X + 1)
     comb = np.array([[math.comb(n, k) for k in range(w + 1)] for n in range(w + 1)], dtype=np.int64)
     rowmax = np.abs(tab.astype(float)).max(axis=1)
-    pairs, offset, left, right = _pair_table(tab, size, table.q_lo, w, X)
+    pairs, offset, left, right = _pair_table(tab, q_lo, w, X)
     pmax = np.abs(pairs).max(axis=1, initial=0).astype(float)
 
     # count(alpha, beta, gamma, xi) and the two delta terms
-    out = tab[(alpha * size + beta) * size + gamma][:, -table.q_lo:X + 1 - table.q_lo].copy()
+    out = tab[(alpha * size + beta) * size + gamma][:, -q_lo:X + 1 - q_lo].copy()
     first = (beta == 0) & (alpha == gamma) & (alpha + 1 <= X)
     second = (alpha == beta + gamma + 1) & (alpha <= X)
     second_c = comb[np.maximum(alpha + gamma - 1, 0), gamma]
@@ -366,7 +352,7 @@ def unitarity_identity_residuals(triples, xi_max: int, table: CountTable) -> np.
             bound[owner] += b
         _check_bound(bound[lo:hi], "an identity residual")
         owner, s = _segment_sums(
-            i3, c3[:, None] * tab[row3[:, None], (p - g3 - 1 - table.q_lo)[:, None] + span])
+            i3, c3[:, None] * tab[row3[:, None], (p - g3 - 1 - q_lo)[:, None] + span])
         out[owner] -= s
         owner, s = _segment_sums(i5, c5[:, None] * pairs[pair])
         out[owner] += s
@@ -388,14 +374,10 @@ def unitarity_identity_residual(
     The identity pins, for every monomial index (alpha, beta, gamma) and every
     power index xi, a multi-sum of forward counts and binomials that must
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
-    ``forward_count`` hook exists so verification runs can inject a corrupted
-    table as a negative control.  It must be a pure function: it is
-    tabulated once, on a superset of the indices the multi-sum reads.  This
-    is the one-triple call of :func:`unitarity_identity_residuals`.
+    ``forward_count`` hook, :func:`forward_count_closed` when None, exists so
+    verification runs can inject a corrupted table as a negative control; it
+    must be pure (see :func:`unitarity_identity_residuals`, whose one-triple
+    call this is).
     """
-    if min(alpha, beta, gamma, xi) < 0:
-        raise ValueError("indices must be >= 0")
-    w = alpha + beta + gamma
-    table = (_closed_table(w, xi) if forward_count is None
-             else CountTable.for_identity(w, xi, forward_count))
-    return int(unitarity_identity_residuals([(alpha, beta, gamma)], xi, table)[0, xi])
+    count = forward_count or forward_count_closed
+    return int(unitarity_identity_residuals([(alpha, beta, gamma)], xi, count)[0, xi])

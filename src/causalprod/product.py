@@ -425,13 +425,6 @@ class ConvergenceStudy:
     bounds: tuple[float, ...]
     fitted_rate: float
 
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(
-            self.max_errors[i] / self.max_errors[i + 1]
-            for i in range(len(self.ns) - 1)
-            if self.max_errors[i + 1] > 0
-        )
-
 
 def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> ConvergenceStudy:
     """Per-n max error between the product's kernel estimate and the limit kernel.

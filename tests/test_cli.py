@@ -50,7 +50,7 @@ def test_coeffs_cap_refusal(tmp_path, capsys):
     assert "8" in capsys.readouterr().err
 
 
-def test_coeffs_mismatch_sets_exit_status(tmp_path, monkeypatch):
+def test_coeffs_mismatch_sets_exit_status(tmp_path, capsys, monkeypatch):
     from causalprod import coefficients
 
     orig = coefficients.forward_count_closed
@@ -61,6 +61,11 @@ def test_coeffs_mismatch_sets_exit_status(tmp_path, monkeypatch):
 
     monkeypatch.setattr(coefficients, "forward_count_closed", corrupted)
     assert _run(["coeffs", "--s-max", "1", "--out", str(tmp_path / "t.json")]) == 1
+    # one line, after the artifact, naming the mismatch
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and err.count("\n") == 1
+    assert "(0, 0, 0, 1)" in err
+    assert _read_json(tmp_path / "t.json")["all_match"] is False
 
 
 def test_coeffs_csv_headers(tmp_path):
@@ -93,7 +98,7 @@ def test_verify_zero_parameter_exact(tmp_path):
     assert iso["residual"] == 0.0
 
 
-def test_verify_detects_corrupted_table(tmp_path):
+def test_verify_detects_corrupted_table(tmp_path, capsys):
     from causalprod.coefficients import forward_count_closed
 
     def corrupted(m, n, p, q):
@@ -105,6 +110,13 @@ def test_verify_detects_corrupted_table(tmp_path):
     payload = _read_json(tmp_path / "r.json")
     bad = next(r for r in payload["rows"] if r["name"] == "unitarity_coefficient_identity")
     assert bad["pass"] == 0 and bad["residual"] > 0
+    assert capsys.readouterr().err == "check failed: unitarity_coefficient_identity\n"
+    # a tolerance below every floating-point residual fails the three quadrature checks
+    out = tmp_path / "tight.json"
+    assert _run(["verify", "--s-max", "3", "--tol", "1e-300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "check failed: isometry_identity; lommel_integral; sonine_gegenbauer_integral\n"
+    assert [r["pass"] for r in _read_json(out)["rows"]] == [1, 1, 0, 0, 0]
 
 
 # q = -5 is read only as the right-hand factor; q = 10 = s_max + 2 is the window's top

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprod.coefficients import (
-    CountTable,
     anticausal_series,
     causal_series,
     forward_count_brute,
@@ -153,8 +152,9 @@ def test_identity_residual_detects_corruption():
 
 # (1, 0, 1, 1): a nonzero entry of low weight;
 # (0, 0, 0, -5): negative q, read for s <= 8 only as the right-hand factor;
-# (0, 8, 0, 10): q = s + 2, the top edge of the table window at s = 8
-IDENTITY_CORRUPTIONS = [(1, 0, 1, 1), (0, 0, 0, -5), (0, 8, 0, 10)]
+# (0, 8, 0, 10): q = s + 2, the top edge of the table window at s = 8;
+# (0, 0, 0, -8): the lowest q whose count moves a residual at s = 8 and xi <= 10
+IDENTITY_CORRUPTIONS = [(1, 0, 1, 1), (0, 0, 0, -5), (0, 8, 0, 10), (0, 0, 0, -8)]
 
 
 def test_identity_triples_order():
@@ -168,7 +168,7 @@ def test_identity_triples_order():
 def test_identity_batched_matches_slow_oracle(at):
     count = forward_count_closed if at is None else corrupted_count(at)
     triples = identity_triples(8)
-    fast = unitarity_identity_residuals(triples, 10, CountTable.for_identity(8, 10, count))
+    fast = unitarity_identity_residuals(triples, 10, count)
     assert fast.shape == (len(triples), 11)
     for (alpha, beta, gamma), row in zip(triples.tolist(), fast.tolist()):
         assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
@@ -186,22 +186,6 @@ def test_identity_scalar_matches_slow_oracle(at):
                 unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
 
 
-def test_identity_table_window_guard():
-    full = CountTable.for_identity(4, 6)
-    assert (full.q_lo, full.q_hi) == (-5, 6)
-    assert not unitarity_identity_residuals([(0, 0, 4)], 6, full).any()
-    for q_lo, q_hi in ((-4, 6), (-5, 5)):
-        short = CountTable(forward_count_closed, 4, q_lo, q_hi)
-        with pytest.raises(IndexError):
-            unitarity_identity_residuals([(0, 0, 4)], 6, short)
-        with pytest.raises(IndexError):  # one short triple refuses the whole call
-            unitarity_identity_residuals(identity_triples(4), 6, short)
-    with pytest.raises(IndexError):
-        unitarity_identity_residuals([(3, 1, 1)], 7, full)  # rows of weight 5
-    with pytest.raises(IndexError):
-        unitarity_identity_residuals([(2, 1, 1)], 7, full)  # xi beyond the window
-
-
 def _count_with(at, value):
     def count(m, n, p, q):
         return value if (m, n, p, q) == at else forward_count_closed(m, n, p, q)
@@ -211,13 +195,12 @@ def _count_with(at, value):
 def test_identity_overflow_guard_refuses():
     """A count of 2**61 lifts the bound on the int64 sums to 2**62: refused, never wrapped."""
     count = _count_with((1, 0, 1, 1), 2 ** 61)
-    table = CountTable.for_identity(6, 8, count)
     with pytest.raises(ArithmeticError):
-        unitarity_identity_residuals(identity_triples(6), 8, table)
+        unitarity_identity_residuals(identity_triples(6), 8, count)
     with pytest.raises(ArithmeticError):
         unitarity_identity_residual(2, 0, 2, 3, count)
     with pytest.raises(ArithmeticError):  # does not fit in int64 at all
-        CountTable.for_identity(2, 4, _count_with((1, 0, 1, 1), 2 ** 63))
+        unitarity_identity_residuals(identity_triples(2), 4, _count_with((1, 0, 1, 1), 2 ** 63))
     # far below the bound the same corruption is a residual like any other
     count = _count_with((1, 0, 1, 1), 2 ** 40)
     assert unitarity_identity_residual(2, 0, 2, 3, count) == \

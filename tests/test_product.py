@@ -224,8 +224,8 @@ def test_kernel_estimate_both_regions():
 def test_convergence_study_rates():
     study = convergence_study((25, 50, 100), IV, NU)
     assert all(e1 > e2 for e1, e2 in zip(study.max_errors, study.max_errors[1:]))
-    for ratio in study.ratios():
-        assert 1.5 <= ratio <= 2.5
+    for e1, e2 in zip(study.max_errors, study.max_errors[1:]):
+        assert 1.5 <= e1 / e2 <= 2.5
     assert 0.8 <= study.fitted_rate <= 1.2
     for n_val, err, bound in zip(study.ns, study.max_errors, study.bounds):
         assert err <= bound
