@@ -117,8 +117,9 @@ def cmd_verify(cfg: RunConfig,
                  "residual": float(worst), "tolerance": 0.0, "pass": int(worst == 0)})
 
     u, v = np.array(((0.15, 0.25, 0.4, 0.1, 0.55), (0.45, 0.75, 0.6, 0.9, 0.85)))
-    iso = float(np.abs(ker.isometry_residual(iv.a + u * iv.width, iv.a + v * iv.width,
-                                             iv, nu)).max())
+    # the defect has units of 1/length; (b - a) times it is scale-free, as tol is
+    iso = iv.width * float(np.abs(ker.isometry_residual(iv.a + u * iv.width, iv.a + v * iv.width,
+                                                        iv, nu)).max())
     rows.append({"name": "isometry_identity", "params": f"nu={nu.value}, 5 points",
                  "residual": iso, "tolerance": cfg.tol, "pass": int(iso < cfg.tol)})
 

@@ -12,9 +12,9 @@ evaluates elementwise over numpy arrays, sizing its block up front from
 sum_q B_q(x, y) phase^q is sum_q w^q J_q(2 sqrt(xy)) with |w| <= 1, which
 ``_order_sum`` takes along Miller's backward recurrence: on 300 seeded points
 with y up to 200 it was within 1.1e-15 max(1, |sum|) of mpmath, and within
-~M eps (M the recurrence's length) where x is close to y.  The quadrature
-checks evaluate the Gauss-Legendre panels of all their points in one call per
-integral.
+~M eps (M the recurrence's length) where x is close to y.  ``limit_kernel``
+is the kernel's one evaluator; ``kernel_causal`` and ``kernel_anticausal``
+check their region and call it.
 
 The series B_j and G_j stop at the one truncation tolerance DEFAULT_TOL, and
 every stopping rule bounds the truncation error only: once the term ratio
@@ -27,7 +27,6 @@ xy = 100, by ~1e-5 at xy = 225 and in every digit at xy = 400, so ``kernel
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -235,17 +234,50 @@ def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray
     return x, y
 
 
-def _result(values: np.ndarray) -> complex | np.ndarray:
-    """A Python complex for a scalar evaluation, else the complex array.
+def _parts(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays where mask holds, flat; the arrays themselves where it holds everywhere."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
-    A non-finite value raises ArithmeticError: e.g. nu + conj(nu) overflows
-    for lam near the float64 limit although (b - a)|nu| is small.
+
+def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
+                 nu: ComplexParam) -> complex | np.ndarray:
+    """Kernel of (limit operator - identity) on [a, b)^2; x and y broadcast.
+
+    With r = |nu| it is 0 on the diagonal, and off it
+        nu B_0((y-a) r, (b-x) r) + [x < y] (r B_1((b-a) r, (y-x) r)
+        - (nu + conj(nu)) sum_{q>=0} B_q((y-x) r, (b-a) r) (conj(nu)/r)^q).
+    Each term is formed once over the points it applies to, the q-sum by one
+    backward recurrence per point (see _order_sum).  A single point stays 0-d,
+    so its B_0 and B_1 are calls of bessel_series.
     """
-    scalar = np.ndim(values) == 0
-    out = complex(values) if scalar else values
-    if not (cmath.isfinite(out) if scalar else np.isfinite(out).all()):
+    x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < iv.b) & (iv.a <= v) & (v < iv.b),
+                   f"the square of {iv}")
+    out = np.zeros(x.shape, dtype=complex)
+    r, v, off = nu.modulus, nu.value, x != y
+    if r == 0.0 or not off.any():
+        return _scalar_or_array(out)
+    x, y, total = _parts(off, x, y, out)  # total is out itself where every point is off
+    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r)
+    # numpy may flag overflow in a product whose value is finite; the total is judged below
+    with np.errstate(over="ignore", invalid="ignore"):
+        total[...] = v * b0
+    causal = x < y
+    if causal.any():
+        x, y, part = _parts(causal, x, y, total)
+        b1 = _bessel_b(1, iv.width * r, (y - x) * r)
+        two_lam = v + v.conjugate()  # inf for lam near the float64 limit
+        acc = 0.0 if two_lam == 0 else _order_sum(np.ravel((y - x) * r), iv.width * r,
+                                                  v.conjugate() / r).reshape(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            part += r * b1
+            part -= two_lam * acc
+        if part is not total:
+            total[causal] = part
+    if total is not out:
+        out[off] = total
+    if not np.isfinite(out).all():  # e.g. nu + conj(nu) overflows for lam near the float64 limit
         raise ArithmeticError("a kernel value is not finite")
-    return out
+    return _scalar_or_array(out)
 
 
 def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
@@ -257,50 +289,15 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
 
     The q-sum is one backward recurrence per point (see _order_sum).
     """
-    x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < v) & (v < iv.b),
-                   f"the causal region of {iv}")
-    r = nu.modulus
-    if r == 0.0:
-        return _result(np.zeros(x.shape, dtype=complex))
-    v = nu.value
-    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r)
-    b1 = _bessel_b(1, iv.width * r, (y - x) * r)
-    two_lam = v + v.conjugate()  # inf for lam near the float64 limit
-    acc = 0.0 if two_lam == 0 else _order_sum(((y - x) * r).ravel(), iv.width * r,
-                                              v.conjugate() / r).reshape(x.shape)
-    # numpy may flag overflow in a product whose value is finite; _result judges the total
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = v * b0
-        total += r * b1
-        total -= two_lam * acc
-    return _result(total)
+    return limit_kernel(*_points(x, y, lambda u, v: (iv.a <= u) & (u < v) & (v < iv.b),
+                                 f"the causal region of {iv}"), iv, nu)
 
 
 def kernel_anticausal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
                       nu: ComplexParam) -> complex | np.ndarray:
     """Kernel value on the anticausal region a <= y < x < b: nu*B_0((y-a)|nu|, (b-x)|nu|)."""
-    x, y = _points(x, y, lambda u, v: (iv.a <= v) & (v < u) & (u < iv.b),
-                   f"the anticausal region of {iv}")
-    r = nu.modulus
-    if r == 0.0:
-        return _result(np.zeros(x.shape, dtype=complex))
-    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r)
-    with np.errstate(over="ignore", invalid="ignore"):  # _result refuses a non-finite value
-        return _result(nu.value * b0)
-
-
-def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
-                 nu: ComplexParam) -> complex | np.ndarray:
-    """Kernel of (limit operator - identity) on [a, b)^2; zero on the diagonal."""
-    x, y = _points(x, y, lambda u, v: (iv.a <= u) & (u < iv.b) & (iv.a <= v) & (v < iv.b),
-                   f"the square of {iv}")
-    if x.ndim == 0:
-        return 0j if x == y else (kernel_causal if x < y else kernel_anticausal)(x, y, iv, nu)
-    out = np.zeros(x.shape, dtype=complex)
-    for branch, mask in ((kernel_causal, x < y), (kernel_anticausal, y < x)):
-        if mask.any():
-            out[mask] = branch(x[mask], y[mask], iv, nu)
-    return _result(out)
+    return limit_kernel(*_points(x, y, lambda u, v: (iv.a <= v) & (v < u) & (u < iv.b),
+                                 f"the anticausal region of {iv}"), iv, nu)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

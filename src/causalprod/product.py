@@ -404,16 +404,17 @@ def limit_bilinear_form(left: PiecewisePolynomial, right: PiecewisePolynomial,
 
 
 def first_excluded_term_bound(n: int, iv: Interval, nu: ComplexParam) -> float:
-    """Heuristic O(1/n) cap on the midpoint estimate error.
+    """Heuristic O(1/n) cap on the midpoint estimate error, in its units of 1/length.
 
     Each factor's linearization drops a term quadratic in the rotation angle
     (b-a)|nu|/n and an entry is touched by O(n) factors; the remaining
     index-count vs monomial defect carries the same 1/n order with constants
-    controlled by e^{(b-a)|nu|}.  Generous by design: used as an upper fence
-    in convergence studies, not as an error model.
+    controlled by e^{(b-a)|nu|}.  The estimate is an entry of (W - I) n/(b-a),
+    so the dimensionless cap is divided by b - a.  Generous by design: used as
+    an upper fence in convergence studies, not as an error model.
     """
     u = iv.width * nu.modulus
-    return u * u * (1.0 + u) * math.exp(u) / n
+    return u * u * (1.0 + u) * math.exp(u) / (n * iv.width)
 
 
 @dataclass(frozen=True)

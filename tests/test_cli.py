@@ -89,6 +89,20 @@ def test_verify_report(tmp_path):
     assert all(row["pass"] == 1 for row in payload["rows"])
 
 
+@pytest.mark.parametrize("s", [1e7, 1e-6])
+def test_verify_isometry_residual_is_scale_free(tmp_path, s):
+    # nu -> s nu, (a, b) -> (a/s, b/s) keeps every kernel argument; the defect
+    # scales by s, and (b - a) times it, which verify reports, does not
+    def residual(lam, mu, b):
+        out = tmp_path / "report.json"
+        assert _run(["verify", "--lambda", repr(lam), "--mu", repr(mu), "--a", "0",
+                     "--b", repr(b), "--s-max", "1", "--out", str(out)]) == 0
+        return next(r["residual"] for r in _read_json(out)["rows"]
+                    if r["name"] == "isometry_identity")
+
+    assert abs(residual(0.6 * s, 0.8 * s, 1.0 / s) - residual(0.6, 0.8, 1.0)) < 1e-14
+
+
 def test_verify_zero_parameter_exact(tmp_path):
     out = tmp_path / "report.json"
     assert _run(["verify", "--lambda", "0", "--mu", "0", "--s-max", "3",
@@ -197,6 +211,25 @@ def test_converge_artifact(tmp_path):
     assert rows[0] == ["n", "max_error", "fitted_rate"]
     errs = [float(r[1]) for r in rows[1:]]
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("s", [1e3, 1e-3])
+def test_converge_fence_is_scale_free(tmp_path, s):
+    # max_error is an entry of (W - I) n/(b - a); under nu -> s nu, (a, b) ->
+    # (a/s, b/s) it and its fence both scale by s, so the verdict does not move
+    def study(lam, mu, b):
+        out = tmp_path / "study.json"
+        code = _run(["converge", "--lambda", repr(lam), "--mu", repr(mu), "--a", "0",
+                     "--b", repr(b), "--n-list", "64,128", "--out", str(out)])
+        payload = _read_json(out)
+        return (code, [row["max_error"] * b for row in payload["rows"]],
+                [bound * b for bound in payload["bounds"]])
+
+    code, errors, bounds = study(1.0, 0.5, 1.0)
+    code_s, errors_s, bounds_s = study(s, 0.5 * s, 1.0 / s)
+    assert code_s == code == 0
+    assert errors_s == pytest.approx(errors, rel=1e-9)
+    assert bounds_s == pytest.approx(bounds, rel=1e-12)
 
 
 def test_converge_zero_parameter(tmp_path):
