@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from typing import Callable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     return _emit(cfg, headers, rows, {"s_max": cfg.s_max, "all_match": not bad}, failed)
 
 
-def cmd_verify(cfg: RunConfig,
-               forward_count: Callable[[int, int, int, int], int] | None = None) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     """Run every identity check and emit a pass/fail report."""
     iv, nu = cfg.interval, cfg.param
     rows: list[dict] = []
@@ -107,8 +106,7 @@ def cmd_verify(cfg: RunConfig,
                  "residual": float(failures), "tolerance": 0.0, "pass": int(failures == 0)})
 
     triples, xi_max = coeff.identity_triples(cfg.s_max), cfg.s_max + 2
-    res = coeff.unitarity_identity_residuals(triples, xi_max,
-                                             forward_count or coeff.forward_count_closed)
+    res = coeff.unitarity_identity_residuals(triples, xi_max, coeff.forward_count_closed)
     # each triple is checked for xi <= alpha + beta + gamma + 2
     checked = np.arange(xi_max + 1) <= triples.sum(axis=1, keepdims=True) + 2
     worst = int(np.abs(res[checked]).max())

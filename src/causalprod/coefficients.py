@@ -166,9 +166,8 @@ _EXACT_BOUND = 2.0 ** 62
 _CHUNK = 1 << 12
 
 
-@lru_cache(maxsize=None)
 def _identity_table(count: Callable[[int, int, int, int], int], w: int,
-                    xi_max: int) -> tuple[np.ndarray, int]:
+                    xi_max: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Every count(m, n, p, q) the identity reads at weight <= w and xi <= xi_max.
 
     For alpha + beta + gamma <= w and 0 <= xi <= X = xi_max, every row the
@@ -182,24 +181,22 @@ def _identity_table(count: Callable[[int, int, int, int], int], w: int,
       [0, w - 1] and 0 <= t1 <= xi, in [1 - X, w].
 
     Hence the window [min(-w - 1, 1 - X), max(X, w)]; for verify's X = w + 2
-    that is [-(w + 1), w + 2].  ``count`` must be pure: it is called once on
-    every index of the window, and the table is kept for the next call.
-    Returns the read-only int64 table, ``tab[(m * (w + 1) + n) * (w + 1) + p,
-    q - q_lo]`` with zero rows above weight w, and q_lo.  A count that does
-    not fit in int64 raises ArithmeticError.
+    that is [-(w + 1), w + 2].  ``count`` is called once on every index of
+    the window.  Returns (tab, row, q_lo): the int64 table has one row per
+    (m, n, p) of weight <= w, ordered by weight, then m, then n, so
+    ``tab[row[m, n, p], q - q_lo] = count(m, n, p, q)``, and ``row`` is -1 off
+    the table.  A count that does not fit in int64 raises ArithmeticError.
     """
     q_lo, q_hi = min(-w - 1, 1 - xi_max), max(xi_max, w)
-    size = w + 1
-    tab = np.zeros((size ** 3, q_hi - q_lo + 1), dtype=np.int64)
-    for m in range(size):
-        for n in range(size - m):
-            for p in range(size - m - n):
-                row = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
-                if max(map(abs, row)) >= 2 ** 63:
-                    raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
-                tab[(m * size + n) * size + p] = row
-    tab.flags.writeable = False
-    return tab, q_lo
+    keys = [(m, n, c - m - n) for c in range(w + 1) for m in range(c + 1) for n in range(c + 1 - m)]
+    tab = np.zeros((len(keys), q_hi - q_lo + 1), dtype=np.int64)
+    row = np.full((w + 1,) * 3, -1)
+    for i, (m, n, p) in enumerate(keys):
+        vals = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
+        if max(map(abs, vals)) >= 2 ** 63:
+            raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
+        tab[i], row[m, n, p] = vals, i
+    return tab, row, q_lo
 
 
 def identity_triples(w_max: int) -> np.ndarray:
@@ -228,7 +225,7 @@ def _segment_sums(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     return owner[starts], np.add.reduceat(values, starts, axis=0)
 
 
-def _pair_table(tab: np.ndarray, q_lo: int, w: int,
+def _pair_table(tab: np.ndarray, row: np.ndarray, q_lo: int,
                 xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The q-correlation of every (left row, right row) pair of total weight below w.
 
@@ -239,26 +236,27 @@ def _pair_table(tab: np.ndarray, q_lo: int, w: int,
 
         P[xi] = sum_{t1 = 0..xi} L[t1] * R[w_R + 1 - xi + t1],   xi = 0..xi_max.
 
-    Rows whose read window is all zero are left out.  The pairs of each left
-    row are all nonzero right rows of weight <= w - 1 - w_L, a prefix of the
-    right rows in order of weight, so pair (l, r) sits at ``offset[l] + r``
-    with ``l = left[row]`` and ``r = right[row]`` (-1 for a zero row).
-    Returns (P, offset, left, right) with P of shape (pairs, xi_max + 1).
+    Both factors are rows of weight <= w - 1, the rows of ``tab`` (see
+    :func:`_identity_table`) before the last weight.  Rows whose read window
+    is all zero are left out.  The pairs of each left row are all nonzero
+    right rows of weight <= w - 1 - w_L, a prefix of the right rows in order
+    of weight, so pair (l, r) sits at ``offset[l] + r`` with
+    ``l = left[row[m, n, p]]`` and ``r = right[row[m, n, p]]`` (-1 for a zero
+    row).  Returns (P, offset, left, right) with P of shape (pairs, xi_max + 1).
     """
-    span, size = np.arange(xi_max + 1), w + 1
-    rows = np.array([(m, n, c - m - n) for c in range(w) for m in range(c + 1)
-                     for n in range(c + 1 - m)], dtype=np.int64).reshape(-1, 3)
-    weight = rows.sum(axis=1)
-    flat = (rows[:, 0] * size + rows[:, 1]) * size + rows[:, 2]
-    lvec = tab[flat][:, -q_lo:xi_max + 1 - q_lo]
-    rvec = tab[flat[:, None], (weight + 1 - q_lo)[:, None] - span]  # R[w_R + 1 - j] at column j
+    span, w = np.arange(xi_max + 1), len(row) - 1
+    weight = np.sort(np.indices(row.shape).sum(axis=0)[row >= 0])  # of each row of tab, in order
+    weight = weight[weight < w]
+    head = tab[:weight.size]
+    lvec = head[:, -q_lo:xi_max + 1 - q_lo]
+    rvec = np.take_along_axis(head, (weight + 1 - q_lo)[:, None] - span, axis=1)  # R[w_R + 1 - j] at j
     lnz, rnz = lvec.any(axis=1), rvec.any(axis=1)
     lvec, lw = lvec[lnz], weight[lnz]
     rvec, rw = rvec[rnz], weight[rnz]
     left = np.full(len(tab), -1)
-    left[flat[lnz]] = np.arange(lw.size)
+    left[np.flatnonzero(lnz)] = np.arange(lw.size)
     right = np.full(len(tab), -1)
-    right[flat[rnz]] = np.arange(rw.size)
+    right[np.flatnonzero(rnz)] = np.arange(rw.size)
     prefix = np.searchsorted(rw, w - 1 - lw, side="right")
     offset = np.cumsum(prefix) - prefix
     pairs = np.zeros((prefix.sum(), xi_max + 1), dtype=np.int64)
@@ -282,32 +280,30 @@ def unitarity_identity_residuals(triples, xi_max: int,
     """Residuals of the unitarity coefficient identity, exact, for xi = 0..xi_max.
 
     Row i holds the residuals of triples[i] = (alpha, beta, gamma) for the
-    forward counts ``count``, a pure function tabulated once per (count,
-    weight, xi_max) on every index the identity reads (see
-    :func:`_identity_table`).  One pass serves every triple: the
-    q-correlations of the 5-fold sum are formed once per (left row, right
-    row) pair (see :func:`_pair_table`), the index tuples of both multi-sums
-    are enumerated in fixed-size chunks of triples by repeat expansions,
-    tuples whose left or right row is zero are dropped, and each triple's
-    terms are added as one segment.  Every partial sum is bounded in float64
-    first; a bound of 2**62 or more raises ArithmeticError rather than let
-    int64 wrap.
+    forward counts ``count``, tabulated once per call on every index the
+    identity reads (see :func:`_identity_table`).  One pass serves every
+    triple: the q-correlations of the 5-fold sum are formed once per (left
+    row, right row) pair (see :func:`_pair_table`), the index tuples of both
+    multi-sums are enumerated in fixed-size chunks of triples by repeat
+    expansions, tuples whose left or right row is zero are dropped, and each
+    triple's terms are added as one segment.  Every partial sum is bounded in
+    float64 first; a bound of 2**62 or more raises ArithmeticError rather
+    than let int64 wrap.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if xi_max < 0 or (triples < 0).any():
         raise ValueError("indices must be >= 0")
     alpha, beta, gamma = triples.T
     w, X = int(triples.sum(axis=1).max(initial=0)), xi_max
-    size = w + 1
-    tab, q_lo = _identity_table(count, w, X)
+    tab, row, q_lo = _identity_table(count, w, X)
     span = np.arange(X + 1)
     comb = np.array([[math.comb(n, k) for k in range(w + 1)] for n in range(w + 1)], dtype=np.int64)
     rowmax = np.abs(tab.astype(float)).max(axis=1)
-    pairs, offset, left, right = _pair_table(tab, q_lo, w, X)
+    pairs, offset, left, right = _pair_table(tab, row, q_lo, X)
     pmax = np.abs(pairs).max(axis=1, initial=0).astype(float)
 
     # count(alpha, beta, gamma, xi) and the two delta terms
-    out = tab[(alpha * size + beta) * size + gamma][:, -q_lo:X + 1 - q_lo].copy()
+    out = tab[row[alpha, beta, gamma], -q_lo:X + 1 - q_lo]
     first = (beta == 0) & (alpha == gamma) & (alpha + 1 <= X)
     second = (alpha == beta + gamma + 1) & (alpha <= X)
     second_c = comb[np.maximum(alpha + gamma - 1, 0), gamma]
@@ -324,7 +320,7 @@ def unitarity_identity_residuals(triples, xi_max: int,
         s3 = _spread(s3, s3[3] - s3[1] + s3[4] + 1)                  # p
         s3 = _spread(s3, s3[1] + s3[2] - s3[3] - s3[4] + s3[5])      # n
         i3, a3, b3, g3, m, p, n = s3
-        row3 = (m * size + n) * size + (a3 + b3 - g3 - m - n + 2 * p - 1)
+        row3 = row[m, n, a3 + b3 - g3 - m - n + 2 * p - 1]
         c3 = comb[a3, m] * comb[g3 - a3 + m + n - p, n] * comb[g3, p]
 
         # 5-fold sum, left row (m1, n1 + beta - m2, p1) first, then n2 and the right row
@@ -333,7 +329,7 @@ def unitarity_identity_residuals(triples, xi_max: int,
         s5 = _spread(s5, s5[3])                                      # n1
         s5 = _spread(s5, s5[3] - s5[6])                              # p1
         _, _, b5, _, m1, m2, n1, p1 = s5
-        lrow = left[(m1 * size + n1 + b5 - m2) * size + p1]
+        lrow = left[row[m1, n1 + b5 - m2, p1]]
         i5, a5, b5, g5, m1, m2, n1, p1 = s5[:, lrow >= 0]
         lrow = lrow[lrow >= 0]
         d, e = a5 - m1 + m2, g5 - 1 - n1 - p1  # right row (d, n2, e - n2) has weight d + e
@@ -341,7 +337,7 @@ def unitarity_identity_residuals(triples, xi_max: int,
         s5 = _spread(np.vstack([i5, sign * comb[a5, m1] * comb[b5, m2], offset[lrow],
                                 d, e, n1, p1]), e + 1)               # n2
         i5, c5, base, d, e, n1, p1, n2 = s5
-        rrow = right[(d * size + n2) * size + e - n2]
+        rrow = right[row[d, n2, e - n2]]
         keep = rrow >= 0
         i5, n1, n2, p1, e = i5[keep], n1[keep], n2[keep], p1[keep], e[keep]
         c5 = c5[keep] * comb[n1 + n2, n1] * comb[e + p1 - n2, p1]
@@ -375,9 +371,8 @@ def unitarity_identity_residual(
     power index xi, a multi-sum of forward counts and binomials that must
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
     ``forward_count`` hook, :func:`forward_count_closed` when None, exists so
-    verification runs can inject a corrupted table as a negative control; it
-    must be pure (see :func:`unitarity_identity_residuals`, whose one-triple
-    call this is).
+    tests can inject a corrupted table as a negative control; this is a
+    one-triple call of :func:`unitarity_identity_residuals`.
     """
     count = forward_count or forward_count_closed
     return int(unitarity_identity_residuals([(alpha, beta, gamma)], xi, count)[0, xi])

@@ -445,35 +445,30 @@ def convergence_study(ns: Sequence[int], iv: Interval, nu: ComplexParam) -> Conv
         raise ValueError(f"sizes must be >= 2, got {ns}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"sizes must be strictly increasing, got {ns}")
-    samples = sample_points(iv)
-    parts, xs, ys = [], [], []  # per size: its cells and their estimates; their midpoints
+    pts = np.array(sample_points(iv))
+    cells, ests = [], []  # per size: the sampled off-diagonal cells (j, k) and their estimates
     for n in ns:
         step = iv.width / n
-        cells = [(min(int((x - iv.a) / step), n - 1), min(int((y - iv.a) / step), n - 1))
-                 for x, y in samples]
-        cells = [(j, k) for j, k in cells if j != k]
-        cols = sorted({k for _, k in cells})
-        units = np.zeros((n, len(cols)))
-        units[cols, np.arange(len(cols))] = 1.0
+        jk = np.minimum(((pts - iv.a) / step).astype(int), n - 1)
+        jk = jk[jk[:, 0] != jk[:, 1]]
+        cols, col = np.unique(jk[:, 1], return_inverse=True)
+        units = np.zeros((n, cols.size))
+        units[cols, np.arange(cols.size)] = 1.0
         w = apply_product(n, iv, nu, units)
-        where = {k: i for i, k in enumerate(cols)}
-        js = np.array([j for j, _ in cells], dtype=int)
-        ks = np.array([k for _, k in cells], dtype=int)
+        cells.append(jk)
         # off the diagonal, (W - I)[j, k] = W[j, k]
-        parts.append((js, ks, w[js, [where[k] for k in ks]] * (n / iv.width)))
-        mids = midpoints(n, iv)
-        xs.append(mids[js])
-        ys.append(mids[ks])
+        ests.append(w[jk[:, 0], col] * (n / iv.width))
     # each point stops at its own degree: one call gives every size's values bit for bit
-    exact_all = limit_kernel(np.concatenate(xs), np.concatenate(ys), iv, nu)
-    ends = np.cumsum([x.size for x in xs])[:-1]
+    xy = np.concatenate([midpoints(n, iv)[jk] for n, jk in zip(ns, cells)])
+    exact_all = limit_kernel(xy[:, 0], xy[:, 1], iv, nu)
+    ends = np.cumsum([len(jk) for jk in cells])[:-1]
     errors = []
-    for n, (js, ks, est), exact in zip(ns, parts, np.split(exact_all, ends)):
+    for n, jk, est, exact in zip(ns, cells, ests, np.split(exact_all, ends)):
         err = np.abs(est - exact)
         if not np.isfinite(err).all():
             i = int(np.isfinite(err).argmin())
             raise ArithmeticError(f"non-finite kernel estimate at n={n}, cell "
-                                  f"({js[i]}, {ks[i]}): {est[i]} vs {exact[i]}")
+                                  f"({jk[i, 0]}, {jk[i, 1]}): {est[i]} vs {exact[i]}")
         errors.append(float(err.max(initial=0.0)))
     bounds = tuple(first_excluded_term_bound(n, iv, nu) for n in ns)
     if all(e > 0 for e in errors):

@@ -112,15 +112,14 @@ def test_verify_zero_parameter_exact(tmp_path):
     assert iso["residual"] == 0.0
 
 
-def test_verify_detects_corrupted_table(tmp_path, capsys):
-    from causalprod.coefficients import forward_count_closed
-
-    def corrupted(m, n, p, q):
-        val = forward_count_closed(m, n, p, q)
-        return val + 1 if (m, n, p, q) == (1, 0, 1, 1) else val
+def test_verify_detects_corrupted_table(tmp_path, capsys, monkeypatch):
+    from causalprod import coefficients
+    from series_oracle import corrupted_count
 
     cfg = RunConfig("verify", s_max=3, out=str(tmp_path / "r.json"))
-    assert cli.cmd_verify(cfg, forward_count=corrupted) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(coefficients, "forward_count_closed", corrupted_count((1, 0, 1, 1)))
+        assert cli.cmd_verify(cfg) == 1
     payload = _read_json(tmp_path / "r.json")
     bad = next(r for r in payload["rows"] if r["name"] == "unitarity_coefficient_identity")
     assert bad["pass"] == 0 and bad["residual"] > 0
@@ -135,11 +134,13 @@ def test_verify_detects_corrupted_table(tmp_path, capsys):
 
 # q = -5 is read only as the right-hand factor; q = 10 = s_max + 2 is the window's top
 @pytest.mark.parametrize("at", [(0, 0, 0, -5), (0, 8, 0, 10)])
-def test_verify_detects_corruption_at_window_edges(tmp_path, at):
+def test_verify_detects_corruption_at_window_edges(tmp_path, at, monkeypatch):
+    from causalprod import coefficients
     from series_oracle import corrupted_count
 
+    monkeypatch.setattr(coefficients, "forward_count_closed", corrupted_count(at))
     cfg = RunConfig("verify", s_max=8, out=str(tmp_path / "r.json"))
-    assert cli.cmd_verify(cfg, forward_count=corrupted_count(at)) == 1
+    assert cli.cmd_verify(cfg) == 1
     payload = _read_json(tmp_path / "r.json")
     bad = next(r for r in payload["rows"] if r["name"] == "unitarity_coefficient_identity")
     assert bad["pass"] == 0 and bad["residual"] > 0
@@ -230,6 +231,16 @@ def test_converge_fence_is_scale_free(tmp_path, s):
     assert code_s == code == 0
     assert errors_s == pytest.approx(errors, rel=1e-9)
     assert bounds_s == pytest.approx(bounds, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the fence fails correct products at small u")
+def test_converge_passes_first_order_convergence_at_small_u(tmp_path):
+    """At u = (b - a)|nu| << 1, N * max_error tends to 2|sin theta| u^2 / (b - a), theta = arg nu."""
+    out = tmp_path / "s.json"
+    assert _run(["converge", "--lambda", "0.01", "--mu", "0.01",
+                 "--n-list", "25,50,100,200,400", "--out", str(out)]) == 0
+    scaled = [r["n"] * r["max_error"] for r in _read_json(out)["rows"]]
+    assert scaled == pytest.approx([2 * np.sin(np.pi / 4) * 2e-4] * 5, rel=0.01)
 
 
 def test_converge_zero_parameter(tmp_path):

@@ -1,8 +1,12 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprod.coefficients import (
+    _identity_table,
     anticausal_series,
     causal_series,
     forward_count_brute,
@@ -184,6 +188,32 @@ def test_identity_scalar_matches_slow_oracle(at):
         for xi in range(9):
             assert unitarity_identity_residual(alpha, beta, gamma, xi, hook) == \
                 unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+
+
+def test_identity_tabulates_each_count_once_per_call():
+    """Every index of the window is counted once per call, and no call reuses another's table."""
+    calls = Counter()
+
+    def spy(m, n, p, q):
+        calls[m, n, p, q] += 1
+        return forward_count_closed(m, n, p, q)
+
+    # w = 6 and X = 8: q in [min(-w - 1, 1 - X), max(X, w)] = [-7, 8]
+    window = Counter((m, n, p, q) for m, n, p in identity_triples(6).tolist() for q in range(-7, 9))
+    assert len(window) == 1344
+    first = unitarity_identity_residuals(identity_triples(6), 8, spy)
+    assert calls == window
+    second = unitarity_identity_residuals(identity_triples(6), 8, spy)
+    assert calls == window + window
+    assert np.array_equal(first, second) and not first.any()
+
+
+def test_identity_table_has_one_row_per_triple_by_weight():
+    tab, row, q_lo = _identity_table(forward_count_closed, 6, 8)
+    keys = sorted(map(tuple, identity_triples(6).tolist()), key=sum)  # by weight, then m, then n
+    assert tab.shape == (84, 16) and q_lo == -7 and (row >= 0).sum() == 84
+    assert row[tuple(np.array(keys).T)].tolist() == list(range(84))
+    assert tab.tolist() == [[forward_count_closed(*k, q) for q in range(-7, 9)] for k in keys]
 
 
 def _count_with(at, value):
