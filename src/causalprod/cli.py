@@ -115,9 +115,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                  "residual": float(worst), "tolerance": 0.0, "pass": int(worst == 0)})
 
     u, v = np.array(((0.15, 0.25, 0.4, 0.1, 0.55), (0.45, 0.75, 0.6, 0.9, 0.85)))
-    # the defect has units of 1/length; (b - a) times it is scale-free, as tol is
-    iso = iv.width * float(np.abs(ker.isometry_residual(iv.a + u * iv.width, iv.a + v * iv.width,
-                                                        iv, nu)).max())
+    # (b - a) times the defect on [a, b), which has units of 1/length, is exactly the defect
+    # on [0, 1) at nu (b - a): scale-free, as tol is, and with no quadrature node on [a, b)
+    nu_unit = ker.ComplexParam(nu.lam * iv.width, nu.mu * iv.width)
+    iso = float(np.abs(ker.isometry_residual(u, v, ker.Interval(0.0, 1.0), nu_unit)).max())
     rows.append({"name": "isometry_identity", "params": f"nu={nu.value}, 5 points",
                  "residual": iso, "tolerance": cfg.tol, "pass": int(iso < cfg.tol)})
 

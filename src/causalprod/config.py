@@ -16,9 +16,6 @@ CONVERGE_DIM_CAP = 4096
 # verify's coefficient identity is one exact int64 pass over every triple: ~8 ms at
 # s_max = 10 and ~0.33 s at 20 on a 2-vCPU host, ~17 MB of numpy arrays at its peak
 VERIFY_IDENTITY_CAP = 20
-# binds verify only: its isometry check puts kernel.CHECK_NODES = 64 Gauss-Legendre nodes on panels
-# as short as (b - a)/10; the node nearest a panel end sits 3.47e-5 (b - a) = (b - a)/28,779 from it
-QUADRATURE_CELLS = 28_800
 
 # kernel evaluates an n x n grid one point per call: ~0.1 ms per point at --s-max 0 and ~14 ms
 # with the --s-max 40 series comparison (2-vCPU host), so --n 128 takes ~1.8 s and ~4 min there
@@ -29,7 +26,7 @@ KERNEL_GRID_CAP = 128
 # it divides nothing)
 LIMITS = {
     "coeffs": (COEFF_TABLE_CAP, None, None, lambda cfg: None),
-    "verify": (VERIFY_IDENTITY_CAP, None, None, lambda cfg: QUADRATURE_CELLS),
+    "verify": (VERIFY_IDENTITY_CAP, None, None, lambda cfg: None),
     "converge": (None, None, CONVERGE_DIM_CAP, lambda cfg: max(cfg.n_list)),
     "kernel": (SERIES_CAP, KERNEL_GRID_CAP, None, lambda cfg: cfg.n + 1),
 }

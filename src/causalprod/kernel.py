@@ -132,11 +132,6 @@ def _bessel_b(j: int, x, y) -> np.ndarray | float:
     return _alt_series((-x) ** j / math.factorial(j), x * y, j)
 
 
-def _profile(j: int, t) -> np.ndarray:
-    """G_j(t) elementwise, for one order j >= 0."""
-    return _alt_series(1.0 / math.factorial(j), t, j)
-
-
 def bessel_series(j: int, x: float, y: float) -> float:
     """Partial sum of B_j(x, y) for an order j >= 0 (scalar arguments)."""
     if j < 0:
@@ -144,11 +139,11 @@ def bessel_series(j: int, x: float, y: float) -> float:
     return float(_alt_series((-x) ** j / math.factorial(j), x * y, j))
 
 
-def bessel_profile(j: int, x: float) -> float:
-    """Partial sum of G_j(x) = sum_{k>=0} (-1)^k x^k / (k! (k+j)!) (scalar argument)."""
+def bessel_profile(j: int, x) -> float | np.ndarray:
+    """Partial sum of G_j(x) = sum_{k>=0} (-1)^k x^k / (k! (k+j)!), j >= 0, elementwise in x."""
     if j < 0:
         raise ValueError(f"order must be >= 0, got {j}")
-    return float(_profile(j, x))
+    return _scalar_or_array(_alt_series(1.0 / math.factorial(j), x, j))
 
 
 def _miller_step(r, j, jp, h_re, h_im, w_re, w_im):
@@ -234,9 +229,9 @@ def _points(x, y, inside: Callable, region: str) -> tuple[np.ndarray, np.ndarray
     return x, y
 
 
-def _parts(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arrays where mask holds, flat; the arrays themselves where it holds everywhere."""
-    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+def _at(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The entries of a where mask holds, flat; a single point (0-d) stays itself."""
+    return a if a.ndim == 0 else a[mask]
 
 
 def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
@@ -256,25 +251,20 @@ def limit_kernel(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
     r, v, off = nu.modulus, nu.value, x != y
     if r == 0.0 or not off.any():
         return _scalar_or_array(out)
-    x, y, total = _parts(off, x, y, out)  # total is out itself where every point is off
-    b0 = _bessel_b(0, (y - iv.a) * r, (iv.b - x) * r)
-    # numpy may flag overflow in a product whose value is finite; the total is judged below
+    b0 = _bessel_b(0, (_at(y, off) - iv.a) * r, (iv.b - _at(x, off)) * r)
+    # numpy may flag overflow in a product whose value is finite; the values are judged below
     with np.errstate(over="ignore", invalid="ignore"):
-        total[...] = v * b0
+        out[off] = v * b0
     causal = x < y
     if causal.any():
-        x, y, part = _parts(causal, x, y, total)
-        b1 = _bessel_b(1, iv.width * r, (y - x) * r)
+        d = (_at(y, causal) - _at(x, causal)) * r
+        b1 = _bessel_b(1, iv.width * r, d)
         two_lam = v + v.conjugate()  # inf for lam near the float64 limit
-        acc = 0.0 if two_lam == 0 else _order_sum(np.ravel((y - x) * r), iv.width * r,
-                                                  v.conjugate() / r).reshape(x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            part += r * b1
-            part -= two_lam * acc
-        if part is not total:
-            total[causal] = part
-    if total is not out:
-        out[off] = total
+            part = _at(out, causal) + r * b1
+            if two_lam != 0:
+                part -= two_lam * _order_sum(np.ravel(d), iv.width * r, v.conjugate() / r)
+        out[causal] = part
     if not np.isfinite(out).all():  # e.g. nu + conj(nu) overflows for lam near the float64 limit
         raise ArithmeticError("a kernel value is not finite")
     return _scalar_or_array(out)
@@ -284,10 +274,7 @@ def kernel_causal(x: float | np.ndarray, y: float | np.ndarray, iv: Interval,
                   nu: ComplexParam) -> complex | np.ndarray:
     """Kernel value on the causal region a <= x < y < b; x and y broadcast.
 
-    nu*B_0((y-a)|nu|, (b-x)|nu|) + |nu|*B_1((b-a)|nu|, (y-x)|nu|)
-    - (nu + conj(nu)) * sum_q B_q((y-x)|nu|, (b-a)|nu|) (conj(nu)/|nu|)^q.
-
-    The q-sum is one backward recurrence per point (see _order_sum).
+    It is limit_kernel's formula with the [x < y] terms; see limit_kernel.
     """
     return limit_kernel(*_points(x, y, lambda u, v: (iv.a <= u) & (u < v) & (v < iv.b),
                                  f"the causal region of {iv}"), iv, nu)
@@ -395,10 +382,10 @@ def lommel_residual(alpha, beta, x) -> float | np.ndarray:
     if (x < 0).any():
         raise ValueError("need x >= 0")
     scales = np.stack([alpha, beta])[..., None]
-    lhs = gauss_legendre(lambda z: np.prod(_profile(0, scales * z), axis=0), 0.0, x, CHECK_NODES)
+    lhs = gauss_legendre(lambda z: bessel_profile(0, scales * z).prod(axis=0), 0.0, x, CHECK_NODES)
     ax, bx = alpha * x, beta * x
-    g0a, g0b = _profile(0, np.stack([ax, bx]))
-    g1a, g1b = _profile(1, np.stack([ax, bx]))
+    g0a, g0b = bessel_profile(0, np.stack([ax, bx]))
+    g1a, g1b = bessel_profile(1, np.stack([ax, bx]))
     rhs = (ax * g1a * g0b - bx * g1b * g0a) / (alpha - beta)
     return _scalar_or_array(np.abs(lhs - rhs))
 
@@ -416,9 +403,9 @@ def sonine_gegenbauer_residual(beta, z) -> float | np.ndarray:
     if (z < 0).any():
         raise ValueError("need z >= 0")
     shifts = np.stack([np.zeros_like(beta), beta])[..., None]
-    lhs = gauss_legendre(lambda w: np.prod(_profile(1, w + shifts), axis=0), 0.0, z, CHECK_NODES)
+    lhs = gauss_legendre(lambda w: bessel_profile(1, w + shifts).prod(axis=0), 0.0, z, CHECK_NODES)
     zb = z + beta
-    g1z, g1zb, g1b = _profile(1, np.stack([z, zb, beta]))
-    g0z, g0zb = _profile(0, np.stack([z, zb]))
+    g1z, g1zb, g1b = bessel_profile(1, np.stack([z, zb, beta]))
+    g0z, g0zb = bessel_profile(0, np.stack([z, zb]))
     rhs = (z * g1z * g0zb - zb * g1zb * g0z) / beta + g1b
     return _scalar_or_array(np.abs(lhs - rhs))

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from causalprod import cli, kernel
-from causalprod.config import KERNEL_GRID_CAP, QUADRATURE_CELLS, VERIFY_IDENTITY_CAP, RunConfig
+from causalprod import cli
+from causalprod.config import KERNEL_GRID_CAP, VERIFY_IDENTITY_CAP, RunConfig
 
 
 def _run(argv):
@@ -89,7 +89,7 @@ def test_verify_report(tmp_path):
     assert all(row["pass"] == 1 for row in payload["rows"])
 
 
-@pytest.mark.parametrize("s", [1e7, 1e-6])
+@pytest.mark.parametrize("s", [1e7, 1e-6, 1e155])
 def test_verify_isometry_residual_is_scale_free(tmp_path, s):
     # nu -> s nu, (a, b) -> (a/s, b/s) keeps every kernel argument; the defect
     # scales by s, and (b - a) times it, which verify reports, does not
@@ -317,21 +317,19 @@ def test_verify_non_finite_tol_refused(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-# narrow for its offset: (b - a)/28,800 is below 4 ulp(1e16) = 8, (b - a)/8 is not
+# narrow for its offset, b - a = 800 ulp(1e16), but not for any command's own division of [a, b)
 NARROW = ["--a", "1e16", "--b", "10000000000001600", "--lambda", "1e-10", "--mu", "0"]
 
 
 @pytest.mark.parametrize("argv", [
     ["kernel", "--a=-1e308", "--b", "1e308", "--n", "3", "--s-max", "0"],
     ["verify", "--a=-1e308", "--b", "1e308", "--s-max", "2"],
-    ["verify", "--a", "1e16", "--b", "1.0000000000000004e16"],
     ["kernel", "--a", "1e16", "--b", "1.0000000000000004e16", "--n", "3", "--s-max", "0"],
     ["converge", "--a", "1e16", "--b", "1.0000000000000004e16", "--n-list", "4,8"],
-    ["verify", *NARROW],
 ])
 def test_out_of_range_interval_refused(tmp_path, capsys, argv):
-    # b - a overflows to inf, or is so narrow for its offset that grid points or
-    # quadrature nodes would round onto a or b
+    # b - a overflows to inf, or is so narrow for its offset that grid points
+    # would round onto a or b
     out = tmp_path / "a.json"
     assert _run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -342,18 +340,15 @@ def test_out_of_range_interval_refused(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["verify", "--a", "1e7", "--b", "10000001"],
     ["converge", "--n-list", "64,4096", "--a", "1e7", "--b", "10000001"],
-    # too narrow for verify's quadrature nodes, but not for these commands' own divisions
+    # wide enough for these commands' own divisions of [a, b)
     ["kernel", "--n", "3", "--s-max", "0", *NARROW],
     ["converge", "--n-list", "4,8", *NARROW],
+    # verify divides nothing on [a, b): its isometry check runs on [0, 1)
+    ["verify", "--a", "1e16", "--b", "1.0000000000000004e16"],
+    ["verify", *NARROW],
 ])
 def test_narrow_interval_at_large_offset_runs(tmp_path, argv):
     assert _run([*argv, "--out", str(tmp_path / "a.json")]) == 0
-
-
-def test_quadrature_cells_cover_the_check_nodes():
-    # the node nearest an end of verify's shortest isometry panel, (b - a)/10 long
-    nodes, _ = np.polynomial.legendre.leggauss(kernel.CHECK_NODES)
-    assert QUADRATURE_CELLS >= 1 / (0.05 * (1 - nodes.max()))
 
 
 def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):
@@ -389,11 +384,12 @@ def test_kernel_answers_where_its_order_sum_settles(tmp_path):
     assert len(_read_json(out)["rows"]) == 9
 
 
-# (b - a)|nu| is small, but nu + conj(nu) overflows inside the kernel
+# (b - a)|nu| is finite, but nu + conj(nu) overflows inside the kernel (verify
+# evaluates its kernel at nu (b - a) on [0, 1), where it cannot)
 @pytest.mark.parametrize("argv", [
     ["kernel", "--n", "2", "--s-max", "0"],
     ["kernel", "--n", "2", "--s-max", "0", "--format", "csv"],
-    ["verify", "--s-max", "2"],
+    ["converge", "--n-list", "4,8"],
 ])
 def test_non_finite_values_are_never_written(tmp_path, capsys, argv):
     out = tmp_path / "a.out"
