@@ -150,13 +150,16 @@ def truncated_kernel(x: float, y: float, a: float, b: float, nu: complex,
 
     Independent of the closed Bessel form: this is the polynomial route, and
     its agreement with the closed form is one of the main cross-checks.
+    Slices are summed on [0, 1) at nu (b - a), then divided by b - a: scale-free.
     """
     if x == y:
         return 0j
+    width = b - a
+    u, v, nu_w = (x - a) / width, (y - a) / width, nu * width
     total = 0j
     for s in range(1, s_max + 1):
-        total += _cached_series(s, y < x).evaluate(x, y, a, b, nu)
-    return total
+        total += _cached_series(s, y < x).evaluate(u, v, 0.0, 1.0, nu_w)
+    return total / width
 
 
 # every partial sum of the identity pass is bounded in float64 first; below this bound int64 is exact

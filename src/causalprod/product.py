@@ -15,10 +15,10 @@ sweeps: factors on disjoint rows commute, so within a group every earlier
 row passes through the same (g+1) x (g+1) step matrix M, and the group
 becomes one Toeplitz convolution of the earlier rows with the scalars
 h_d = M_xA M_AA^(d-1) M_Ax (one FFT), two rank-g matrix products, and the
-size-g product on the group's own rows.  All of these are blocks of unitary
-matrices, so its error is rounding only: measured per entry, at most 3.7e-15
-against the dense product for N <= 512, and at most 3.3e-14 against the
-per-sweep scan it replaced for N <= 4096 (see ``apply_product``).
+size-g product on the group's own rows; M_AA is persymmetric, so one table of
+rows M_xA M_AA^t serves both rank-g products.  The error is rounding only: per
+entry, at most 3.7e-15 against the dense product for N <= 512 and 1.9e-14
+against ``tests/product_oracle.py::product_columns`` for N <= 4096.
 """
 from __future__ import annotations
 
@@ -186,13 +186,13 @@ def _grouped_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
     # products below would round that O(1) diagonal once per factor (a relative
     # error up to ~t eps); it and c^g are taken from pow, correct to an ulp.
     m_aa, m_ax, m_xa, cg = m[:g, :g], m[:g, g:], m[g:, :g], c ** g
-    # rows e[t] = M_xA M_AA^t and f[t] = (M_AA^t M_Ax)^T for t < len(e), by doubling
-    e, f, sq = m_xa, m_ax.T, m_aa
+    e, sq = m_xa, m_aa  # rows e[t] = M_xA M_AA^t for t < len(e), by doubling
     while len(e) < n:
-        e, f = np.vstack([e, e @ sq]), np.vstack([f, f @ sq.T])
-        sq = sq @ sq
+        e, sq = np.vstack([e, e @ sq]), sq @ sq
     h = np.concatenate([[0.0], (e[:n - 1] @ m_ax)[:, 0]])
-    f = f[::-1].copy()  # f[len(f) - R + s] = (M_AA^(R-1-s) M_Ax)^T
+    # f[len(f) - R + s] = (M_AA^(R-1-s) M_Ax)^T by persymmetry (see apply_product), kept
+    # as an array (a reversed view of e doubled the rounding); 0 if sin(theta) underflows
+    f = (up / lo if lo else 0.0) * e[::-1, ::-1]
     start = 1 + (n - 1) % g
     _grouped_sweep(u[:, :start], c, up, lo)
     d = np.eye(g, dtype=complex)
@@ -223,22 +223,22 @@ def apply_product(n: int, iv: Interval, nu: ComplexParam, block: np.ndarray) -> 
     Factors on disjoint rows commute, so each passive row can pass through a
     whole group of g ~ sqrt(n) sweeps before the next one does;
     ``_grouped_sweep`` applies a group as one Toeplitz convolution (FFT) and
-    two rank-g matrix products.  That is about 2 sqrt(n) Python-level steps
-    and O(n^1.5 k log n) FFT work plus O(n^2 k) multiply-adds in BLAS, for k
+    two rank-g matrix products, both read from one table of rows
+    e_t = M_xA M_AA^t of the step matrix: M_AA is lower-triangular Toeplitz
+    (c on the diagonal, up lo c^(i-j-1) below), hence persymmetric, and
+    M_Ax[i] = up c^i, M_xA[j] = lo c^(g-1-j), so (M_AA^t M_Ax)^T is up/lo
+    times e_t reversed.  That is about 2 sqrt(n) Python-level steps and
+    O(n^1.5 k log n) FFT work plus O(n^2 k) multiply-adds in BLAS, for k
     columns.
 
     Error model: every matrix the groups use is a block of a unitary matrix,
     so nothing is divided by c = cos((b-a)|nu|/n) and no power grows; the
-    error is rounding only, and the O(1) powers of c come from pow.  Measured
-    per entry, with nu in {0.6+0.8i, 3-4i, 1+0.5i, 1, i}:
-      |fast - dense| <= 3.7e-15 for n <= 512 (the whole matrix);
-      |fast - scan| <= 2.3e-14 at n = 1024..4096 and <= 3.3e-14 at n = 1000
-      with rotation angles pi/2, 1.5 and 2.34, where scan is the per-sweep
-      scan this replaced, on five unit columns.
-    Against the same scan in long double, the fast path is within 1.7e-15
-    at n = 4096 (also for nu = 6+8i) and within 1.9e-14 at angle 1.5,
-    n = 1000, so most of |fast - scan| is the scan's own error.  Sizes above
-    CONVERGE_DIM_CAP are refused.
+    error is rounding only, and the O(1) powers of c come from pow.  Per
+    entry, with nu in {0.6+0.8i, 3-4i, 1+0.5i, 1, i}, |fast - dense| <= 3.7e-15
+    for n <= 512.  Against ``tests/product_oracle.py::product_columns`` (long
+    double) on 2-5 unit columns, |fast - scan| <= 1.7e-15 at n = 1024, 4096
+    (also nu = 6+8i) and <= 2.9e-15, 1.9e-14, 4.3e-15 at rotation angles pi/2
+    (n = 520), 1.5, 2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are refused.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

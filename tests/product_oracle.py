@@ -64,18 +64,20 @@ def product_columns(n: int, iv: Interval, nu: ComplexParam, cols: Sequence[int])
     c = np.longdouble(c)
     pw = (c ** np.arange(block + 1))[:, None]    # c^0 .. c^L
     ipw = (c ** -np.arange(block))[:, None]      # c^0 .. c^-(L-1)
+    up_pw = up * pw[:-1]                         # up c^0 .. up c^(L-1)
     for r in range(1, n):
         a = u[r]
         for start in range(0, r, block):
             stop = min(start + block, r)
             m = stop - start
-            x = u[start:stop]
+            x = u[start:stop]  # a view: the block's rows are updated in place
             # a_t = c^t a_0 + up c^(t-1) sum_{s<=t} c^-(s-1) x_s, t = 1..m
-            acc = pw[1:m + 1] * a + up * pw[:m] * np.cumsum(ipw[:m] * x, axis=0)
-            new = c * x
-            new[0] += lo * a
-            new[1:] += lo * acc[:-1]
-            u[start:stop] = new
+            acc = np.cumsum(ipw[:m] * x, axis=0)
+            acc *= up_pw[:m]
+            acc += pw[1:m + 1] * a
+            x *= c
+            x[0] += lo * a
+            x[1:] += lo * acc[:-1]
             a = acc[-1]
         u[r] = a
     return u[::-1].astype(complex)

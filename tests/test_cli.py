@@ -103,6 +103,24 @@ def test_verify_isometry_residual_is_scale_free(tmp_path, s):
     assert abs(residual(0.6 * s, 0.8 * s, 1.0 / s) - residual(0.6, 0.8, 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e8, 1e100, 1e155])
+def test_kernel_series_comparison_is_scale_free(tmp_path, s):
+    # nu -> s nu, (a, b) -> (a/s, b/s) scales the kernel and every series slice
+    # by s, though the slice of degree 40 holds nu^40 and (b - a)^39 alone
+    def grid(lam, mu, b):
+        out = tmp_path / "grid.json"
+        assert _run(["kernel", "--lambda", repr(lam), "--mu", repr(mu), "--a", "0",
+                     "--b", repr(b), "--n", "3", "--s-max", "40", "--out", str(out)]) == 0
+        payload = _read_json(out)
+        series = [complex(r["series_re"], r["series_im"]) * b for r in payload["rows"]]
+        return np.array(series), payload["max_series_diff"] * b
+
+    series, diff = grid(0.6, 0.8, 1.0)
+    series_s, diff_s = grid(0.6 * s, 0.8 * s, 1.0 / s)
+    assert diff < 1e-14 and diff_s < 1e-14
+    assert np.max(np.abs(series_s - series)) < 1e-14
+
+
 def test_verify_zero_parameter_exact(tmp_path):
     out = tmp_path / "report.json"
     assert _run(["verify", "--lambda", "0", "--mu", "0", "--s-max", "3",

@@ -107,6 +107,12 @@ def test_double_product_unitary():
     assert unitarity_defect(double_product(8, IV, NU)) < 1e-13
 
 
+def test_double_product_persymmetric():
+    """W = J W^T J with J the index reversal (ROADMAP item 11)."""
+    w = double_product(64, IV, NU)
+    assert np.max(np.abs(w - w[::-1, ::-1].T)) < 1e-14
+
+
 def test_double_product_real_orthogonal_for_real_parameter():
     w = double_product(10, IV, ComplexParam(0.7, 0.0))
     assert np.max(np.abs(w.imag)) == 0.0
@@ -336,6 +342,32 @@ def test_apply_product_matches_scan_at_coarse_angles(theta, n):
     cols = [0, 5, n // 3, n - 2, n - 1]
     fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
     assert np.max(np.abs(fast - product_columns(n, IV, nu, cols))) < 1e-13
+
+
+# Beyond the dense cap apply_product still owes the product's exact symmetries:
+# W = J W^T J pairs W[j, k] with W[n-1-k, n-1-j], and its columns are
+# orthonormal.  A column set closed under k -> n-1-k holds both partners.
+@pytest.mark.parametrize("nu", [NU, ComplexParam(3.0, -4.0), None],
+                         ids=["1+0.5i", "3-4i", "angle1.5"])
+@pytest.mark.parametrize("n", [1000, 4096])
+def test_apply_product_persymmetric_with_orthonormal_columns(n, nu):
+    nu = nu or ComplexParam(0.0, 1.5 * n / IV.width)
+    cols = sorted({k for j in (0, 1, 2, n // 3) for k in (j, n - 1 - j)})
+    units = np.zeros((n, len(cols)))
+    units[cols, np.arange(len(cols))] = 1.0
+    w = apply_product(n, IV, nu, units)
+    at = {k: i for i, k in enumerate(cols)}
+    partners = np.array([[w[n - 1 - k, at[n - 1 - j]] for k in cols] for j in cols])
+    assert np.max(np.abs(w[cols] - partners)) < 1e-14
+    assert unitarity_defect(w) < 1e-12
+
+
+def test_apply_product_where_the_rotation_angle_underflows():
+    """sin(theta) = 0 with nu != 0: every factor is the identity, and nothing divides by it."""
+    block = np.random.default_rng(5).standard_normal((64, 3)) + 1j
+    out = apply_product(64, Interval(0.0, 1e-12), ComplexParam(1e-310, 1e-310), block)
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out, block)
 
 
 def test_apply_product_zero_parameter():

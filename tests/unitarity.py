@@ -3,5 +3,5 @@ import numpy as np
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Largest entry of |M^* M - I|; zero for an exactly unitary M."""
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    """Largest entry of |M^* M - I|; zero for M with exactly orthonormal columns."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
