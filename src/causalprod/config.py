@@ -12,6 +12,9 @@ SERIES_CAP = 40
 # O(N^3) time, N x N memory); CONVERGE_DIM_CAP caps every fast use of the
 # product (apply_product, hence converge and bilinear_form).
 MAX_PRODUCT_DIM = 512
+# At the cap, converge --n-list 256,512,1024,2048,4096 takes ~0.3 s as a cold process (~0.1 s
+# of it in the product) on a 2-vCPU host; apply_product's time grows as N^2 and its memory as N,
+# so N = 16384 would take ~0.4 s and 6.7 MB per 4 columns
 CONVERGE_DIM_CAP = 4096
 # verify's coefficient identity is one exact int64 pass over every triple: ~8 ms at
 # s_max = 10 and ~0.33 s at 20 on a 2-vCPU host, ~17 MB of numpy arrays at its peak

@@ -12,13 +12,14 @@ Two disjoint routes compute the product.  ``double_product`` forms the dense
 N x N array, one two-column update per factor (the oracle, N <= 512).
 ``apply_product`` applies it to an N x k block by groups of g ~ sqrt(N)
 sweeps: factors on disjoint rows commute, so within a group every earlier
-row passes through the same (g+1) x (g+1) step matrix M, and the group
-becomes one Toeplitz convolution of the earlier rows with the scalars
-h_d = M_xA M_AA^(d-1) M_Ax (one FFT), two rank-g matrix products, and the
-size-g product on the group's own rows; M_AA is persymmetric, so one table of
-rows M_xA M_AA^t serves both rank-g products.  The error is rounding only: per
-entry, at most 3.7e-15 against the dense product for N <= 512 and 1.9e-14
-against ``tests/product_oracle.py::product_columns`` for N <= 4096.
+row passes through the same (g+1) x (g+1) step matrix M, and a block of g
+earlier rows passes through one fixed 2g x 2g tile built from M.  A tile
+needs only the tiles left of it and above it, so each anti-diagonal of tiles
+is one batched matrix product, and the size-g product then acts on each
+group's own rows; M_AA is persymmetric, so one table of rows M_xA M_AA^t
+fills every tile.  The error is rounding only: per entry, at most 4.9e-15
+against the dense product for N <= 512 and 2.93e-14 against
+``tests/product_oracle.py::product_columns`` for N <= 4096.
 """
 from __future__ import annotations
 
@@ -158,59 +159,84 @@ def _plain_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
 def _grouped_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
     """Apply sweeps 1..n-1 to u in place (layout of ``_plain_sweep``), g = round(sqrt(n)) at a time.
 
-    A group is sweeps R..R+g-1; rows 0..R-1 are its passive rows x_t and
-    rows R..R+g-1 its starting accumulators A_0.  Passing x_t through the g
-    sweeps is one (g+1) x (g+1) step matrix M = [[M_AA, M_Ax], [M_xA, c^g]],
-    the same for every t and every group.  With h_d = M_xA M_AA^(d-1) M_Ax
-    and e_t = M_xA M_AA^t, the group maps
+    A group is g consecutive sweeps; the rows before it are its passive rows
+    x_t and its own g rows are its starting accumulators A.  Passing x_t
+    through the g sweeps is one (g+1) x (g+1) step matrix
+    M = [[M_AA, M_Ax], [M_xA, c^g]], the same for every t and every group.
+    With e_t = M_xA M_AA^t and h_d = e_(d-1) M_Ax, passing a block of p
+    passive rows x_0..x_(p-1) in turn is one (g+p) x (g+p) tile
 
-        x_t <- c^g x_t + sum_{s<t} h_(t-s) x_s + e_t A_0          (one FFT convolution)
-        A   <- D (M_AA^R A_0 + sum_{s<R} M_AA^(R-1-s) M_Ax x_s)
+        A   <- M_AA^p A + sum_{s<p} M_AA^(p-1-s) M_Ax x_s
+        x_t <- c^g x_t + sum_{s<t} h_(t-s) x_s + e_t A
 
-    where D is the size-g product of the same factor (this routine on a g x g
-    identity): after the passive rows, the group's own factors act on its
-    rows alone.  The first 1 + (n-1) % g rows are a smaller product of their
-    own, so every later group is full.  Blocks of at most 8 rows take the
-    plain sweep.  Rows are held as columns so that the FFTs run along the
-    contiguous axis, which makes every product above a right multiplication.
+    after which D, the size-g product of the same factor (this routine on a
+    g x g identity), acts on the group's rows alone.  The first
+    1 + (n-1) % g rows are a smaller product of their own (the lead, block
+    T = -1), so every later block is a whole group and one 2g x 2g tile
+    serves every pair of group R and earlier group T; a second tile serves
+    the lead.  Tile (R, T) needs only tiles (R, T-1) and (R-1, T), and D of
+    group T comes between tiles (T, T-1) and (T+1, T).  So the tiles on one
+    anti-diagonal R + T touch disjoint rows, and the sweep runs over the
+    ~2 n/g anti-diagonals, each one batched matrix product plus at most one
+    lead tile and one D.  Blocks of at most 8 rows take the plain sweep.
+    Rows are held as columns, which makes every product above a right
+    multiplication.
     """
     n = u.shape[1]
     if n <= 8:
         _plain_sweep(u, c, up, lo)
         return
     g = round(math.sqrt(n))
-    m = np.eye(g + 1, dtype=complex)
-    for i in range(g):  # passive row g meets accumulators 0..g-1 in turn
-        m[i], m[g] = c * m[i] + up * m[g], lo * m[i] + c * m[g]
-    # M_AA is lower triangular with diagonal c, so M_AA^t has diagonal c^t.  The
-    # products below would round that O(1) diagonal once per factor (a relative
-    # error up to ~t eps); it and c^g are taken from pow, correct to an ulp.
-    m_aa, m_ax, m_xa, cg = m[:g, :g], m[:g, g:], m[g:, :g], c ** g
-    e, sq = m_xa, m_aa  # rows e[t] = M_xA M_AA^t for t < len(e), by doubling
-    while len(e) < n:
+    pw = c ** np.arange(g, dtype=float)  # c^0 .. c^(g-1)
+    lag = np.subtract.outer(np.arange(g), np.arange(g))  # lag[i, j] = i - j
+    m_aa = np.where(lag > 0, up * lo * pw[lag - 1], 0.0)  # see apply_product
+    np.fill_diagonal(m_aa, c)
+    e, sq = lo * pw[None, ::-1], m_aa  # rows e[t] = M_xA M_AA^t for t < g, by doubling
+    while len(e) < g:
         e, sq = np.vstack([e, e @ sq]), sq @ sq
-    h = np.concatenate([[0.0], (e[:n - 1] @ m_ax)[:, 0]])
-    # f[len(f) - R + s] = (M_AA^(R-1-s) M_Ax)^T by persymmetry (see apply_product), kept
-    # as an array (a reversed view of e doubled the rounding); 0 if sin(theta) underflows
-    f = (up / lo if lo else 0.0) * e[::-1, ::-1]
+    e = e[:g]
+    hx = np.where(lag > 0, (e @ (up * pw))[lag - 1], 0.0)  # hx[t, s] = h_(t-s), 0 for s >= t
+    # (M_AA^t M_Ax)^T = (up/lo) e_t reversed by persymmetry (see apply_product); 0 if
+    # sin(theta) underflows
+    kappa = up / lo if lo else 0.0
+
+    def tile(p: int) -> np.ndarray:
+        """The tile of a p-row passive block, transposed, acting on rows [A, x]."""
+        t = np.empty((g + p, g + p), dtype=complex)
+        t[:g, :g] = np.linalg.matrix_power(m_aa, p)
+        t[:g, g:] = kappa * e[p - 1::-1, ::-1].T
+        t[g:, :g] = e[:p]
+        t[g:, g:] = hx[:p, :p]
+        # M_AA is lower triangular with diagonal c, so M_AA^p has diagonal c^p.  The
+        # products would round that O(1) diagonal once per factor (a relative error
+        # up to ~p eps); it and c^g are taken from pow, correct to an ulp.
+        np.fill_diagonal(t[:g, :g], c ** p)
+        np.fill_diagonal(t[g:, g:], c ** g)
+        return t.T.copy()
+
     start = 1 + (n - 1) % g
-    _grouped_sweep(u[:, :start], c, up, lo)
+    lead = u[:, :start]
+    _grouped_sweep(lead, c, up, lo)
+    # a view: groups[:, R] holds group R's rows, and writes to it land in u
+    groups = u[:, start:].reshape(len(u), (n - start) // g, g)
+    count = groups.shape[1]
     d = np.eye(g, dtype=complex)
     _grouped_sweep(d, c, up, lo)  # the transpose of D
-    pw, pw_g = (np.linalg.matrix_power(m_aa.T, t) for t in (start, g))  # (M_AA^t)^T
-    spectra = {}  # FFT length -> transform of h; lengths >= 2R keep the convolution acyclic
-    for r in range(start, n, g):
-        np.fill_diagonal(pw, c ** r)
-        x, a0 = u[:, :r], u[:, r:r + g]
-        size = 1 << (2 * r - 1).bit_length()
-        hf = spectra.get(size)
-        if hf is None:
-            hf = spectra[size] = np.fft.fft(h[:size // 2], size)
-        conv = np.fft.ifft(np.fft.fft(x, size) * hf)[:, :r]
-        acc = a0 @ pw + x @ f[len(f) - r:]
-        u[:, :r] = cg * x + conv + a0 @ e[:r].T
-        u[:, r:r + g] = acc @ d
-        pw = pw @ pw_g
+    t_lead, t_full = tile(start), tile(g)
+    past = groups[:, ::-1]  # past[:, count - 1 - T] is block T
+    for diag in range(-1, 2 * count - 1):  # tile (R, T) on anti-diagonal R + T; the lead is T = -1
+        if diag + 1 < count:
+            w = np.concatenate((groups[:, diag + 1], lead), axis=1) @ t_lead
+            groups[:, diag + 1], lead[:] = w[:, :g], w[:, g:]
+        r0, r1 = diag // 2 + 1, min(diag, count - 1) + 1  # groups R in [r0, r1) meet T = diag - R
+        if r0 < r1:
+            acc = groups[:, r0:r1]
+            blk = past[:, count - 1 - diag + r0:count - 1 - diag + r1]
+            w = np.concatenate((acc, blk), axis=2)
+            w = (w.reshape(-1, 2 * g) @ t_full).reshape(w.shape)
+            acc[:], blk[:] = w[..., :g], w[..., g:]
+        if diag % 2 == 0:
+            groups[:, diag // 2] = groups[:, diag // 2] @ d
 
 
 def apply_product(n: int, iv: Interval, nu: ComplexParam, block: np.ndarray) -> np.ndarray:
@@ -221,24 +247,28 @@ def apply_product(n: int, iv: Interval, nu: ComplexParam, block: np.ndarray) -> 
     block's rows reversed, sweep r (1..n-1) has accumulator row r and steps
     through rows 0..r-1: each step maps (a, v) to (c a + up v, lo a + c v).
     Factors on disjoint rows commute, so each passive row can pass through a
-    whole group of g ~ sqrt(n) sweeps before the next one does;
-    ``_grouped_sweep`` applies a group as one Toeplitz convolution (FFT) and
-    two rank-g matrix products, both read from one table of rows
-    e_t = M_xA M_AA^t of the step matrix: M_AA is lower-triangular Toeplitz
-    (c on the diagonal, up lo c^(i-j-1) below), hence persymmetric, and
-    M_Ax[i] = up c^i, M_xA[j] = lo c^(g-1-j), so (M_AA^t M_Ax)^T is up/lo
-    times e_t reversed.  That is about 2 sqrt(n) Python-level steps and
-    O(n^1.5 k log n) FFT work plus O(n^2 k) multiply-adds in BLAS, for k
-    columns.
+    whole group of g ~ sqrt(n) sweeps before the next one does, and a block
+    of g passive rows passes a group by one fixed 2g x 2g tile.
+    ``_grouped_sweep`` applies the tiles one anti-diagonal at a time, each
+    anti-diagonal as one batched matrix product.  Every tile entry comes from
+    one table of rows e_t = M_xA M_AA^t of the step matrix: M_AA is
+    lower-triangular Toeplitz (c on the diagonal, up lo c^(i-j-1) below),
+    hence persymmetric, and M_Ax[i] = up c^i, M_xA[j] = lo c^(g-1-j), so
+    (M_AA^t M_Ax)^T is up/lo times e_t reversed.  That is about 2 sqrt(n)
+    Python-level steps and ~2 n^2 k complex multiply-adds in BLAS for k
+    columns, in O(nk + n) memory.
 
-    Error model: every matrix the groups use is a block of a unitary matrix,
-    so nothing is divided by c = cos((b-a)|nu|/n) and no power grows; the
-    error is rounding only, and the O(1) powers of c come from pow.  Per
-    entry, with nu in {0.6+0.8i, 3-4i, 1+0.5i, 1, i}, |fast - dense| <= 3.7e-15
-    for n <= 512.  Against ``tests/product_oracle.py::product_columns`` (long
-    double) on 2-5 unit columns, |fast - scan| <= 1.7e-15 at n = 1024, 4096
-    (also nu = 6+8i) and <= 2.9e-15, 1.9e-14, 4.3e-15 at rotation angles pi/2
-    (n = 520), 1.5, 2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are refused.
+    Error model: every tile is unitary (the product of the g^2 rotations it
+    stands for), so nothing is divided by c = cos((b-a)|nu|/n) and no power
+    grows; the error is rounding only, and the O(1) powers of c come from
+    pow.  Nearly all of it is the rounding of the state as each row passes
+    its ~sqrt(n) tiles: with every tile exact to an ulp, the worst case
+    below moves by under 1%.  Per entry, with nu in {0.6+0.8i, 3-4i, 1+0.5i,
+    1, i}, |fast - dense| <= 4.9e-15 for n <= 512.  Against
+    ``tests/product_oracle.py::product_columns`` (long double) on 2-5 unit
+    columns, |fast - scan| <= 2.3e-15 at n = 1024, 4096 (also nu = 6+8i)
+    and <= 1e-29, 2.93e-14, 5.1e-15 at rotation angles pi/2 (n = 520), 1.5,
+    2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are refused.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,13 @@ def test_convergence_study_large_sizes():
     assert all(err <= bound for err, bound in zip(study.max_errors, study.bounds))
 
 
+def _units(n, cols):
+    """Unit columns ``cols`` of the n x n identity, without forming the identity."""
+    units = np.zeros((n, len(cols)))
+    units[cols, np.arange(len(cols))] = 1.0
+    return units
+
+
 def _orderings(n):
     return (PairOrdering.row_major(n), PairOrdering.column_major(n),
             PairOrdering.random_allowed(n, seed=7))
@@ -293,7 +301,7 @@ def _orderings(n):
 @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
 def test_apply_product_match_dense_product(n):
     cols = sorted({0, 1, n // 2, n - 1})
-    fast = apply_product(n, IV, NU, np.eye(n)[:, cols])
+    fast = apply_product(n, IV, NU, _units(n, cols))
     assert fast.shape == (n, len(cols))
     for ordering in _orderings(n):
         dense = double_product(n, IV, NU, ordering)[:, cols]
@@ -310,6 +318,32 @@ def test_apply_product_random_block(n):
     assert np.max(np.abs(apply_product(n, IV, NU, block[:, 0]) - w @ block[:, 0])) < 1e-13
 
 
+@pytest.mark.parametrize("nu", [NU, None], ids=["1+0.5i", "angle1.5"])
+def test_apply_product_matches_dense_for_every_tile_shape(nu):
+    """Every n in 2..80: the plain sweep up to 8, then group sizes g = 3..9 with
+    every lead size 1 + (n-1) % g in [1, g], 2..8 groups, and anti-diagonals of
+    one and of several tiles."""
+    rng = np.random.default_rng(80)
+    for n in range(2, 81):
+        nu_n = nu or ComplexParam(0.0, 1.5 * n / IV.width)
+        w = double_product(n, IV, nu_n)
+        block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        assert np.max(np.abs(apply_product(n, IV, nu_n, np.eye(n)) - w)) < 1e-13, n
+        assert np.max(np.abs(apply_product(n, IV, nu_n, block) - w @ block)) < 1e-13, n
+
+
+def test_apply_product_memory_is_linear_in_n():
+    """The peak holds no n x n array and no table of more than n rows (1.8 MB measured)."""
+    units = _units(4096, [0, 1, 2047, 4095])
+    tracemalloc.start()
+    try:
+        apply_product(4096, IV, NU, units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize("theta, n", [(math.pi / 2, 200), (1.5, 200), (2.34, 200)])
 def test_apply_product_coarse_angles(theta, n):
     """Rotation angles far from small, where powers of cos(theta) are extreme."""
@@ -318,7 +352,7 @@ def test_apply_product_coarse_angles(theta, n):
     if theta == math.pi / 2:
         assert abs(c) < 1e-15
     cols = [0, 5, n // 3, n - 2, n - 1]
-    fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
+    fast = apply_product(n, IV, nu, _units(n, cols))
     assert np.all(np.isfinite(fast))
     dense = double_product(n, IV, nu)[:, cols]
     assert np.max(np.abs(fast - dense)) < 1e-13
@@ -329,7 +363,7 @@ def test_apply_product_coarse_angles(theta, n):
 @pytest.mark.parametrize("nu", [ComplexParam(0.6, 0.8), ComplexParam(3.0, -4.0), NU])
 @pytest.mark.parametrize("n, cols", [(1024, [0, 511]), (4096, [0, 1, 2047, 4095])])
 def test_apply_product_matches_scan_beyond_dense_cap(n, cols, nu):
-    fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
+    fast = apply_product(n, IV, nu, _units(n, cols))
     assert np.max(np.abs(fast - product_columns(n, IV, nu, cols))) < 1e-13
 
 
@@ -340,7 +374,7 @@ def test_apply_product_matches_scan_beyond_dense_cap(n, cols, nu):
 def test_apply_product_matches_scan_at_coarse_angles(theta, n):
     nu = ComplexParam(0.0, theta * n / IV.width)
     cols = [0, 5, n // 3, n - 2, n - 1]
-    fast = apply_product(n, IV, nu, np.eye(n)[:, cols])
+    fast = apply_product(n, IV, nu, _units(n, cols))
     assert np.max(np.abs(fast - product_columns(n, IV, nu, cols))) < 1e-13
 
 
@@ -353,9 +387,7 @@ def test_apply_product_matches_scan_at_coarse_angles(theta, n):
 def test_apply_product_persymmetric_with_orthonormal_columns(n, nu):
     nu = nu or ComplexParam(0.0, 1.5 * n / IV.width)
     cols = sorted({k for j in (0, 1, 2, n // 3) for k in (j, n - 1 - j)})
-    units = np.zeros((n, len(cols)))
-    units[cols, np.arange(len(cols))] = 1.0
-    w = apply_product(n, IV, nu, units)
+    w = apply_product(n, IV, nu, _units(n, cols))
     at = {k: i for i, k in enumerate(cols)}
     partners = np.array([[w[n - 1 - k, at[n - 1 - j]] for k in cols] for j in cols])
     assert np.max(np.abs(w[cols] - partners)) < 1e-14
