@@ -164,8 +164,8 @@ def truncated_kernel(x: float, y: float, a: float, b: float, nu: complex,
 
 # every partial sum of the identity pass is bounded in float64 first; below this bound int64 is exact
 _EXACT_BOUND = 2.0 ** 62
-# 5-fold index tuples per step of the identity pass, counted before zero rows are dropped;
-# a step's arrays then stay near 1 MB however many triples the pass covers
+# terms of the triple sum (counted by an upper bound) or of the 5-fold sum per step of the
+# identity pass; a step's arrays then stay near 1 MB however many triples the pass covers
 _CHUNK = 1 << 12
 
 
@@ -228,54 +228,47 @@ def _segment_sums(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     return owner[starts], np.add.reduceat(values, starts, axis=0)
 
 
-def _pair_table(tab: np.ndarray, row: np.ndarray, q_lo: int,
-                xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The q-correlation of every (left row, right row) pair of total weight below w.
+def _chunks(work: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(lo, hi) runs of consecutive items whose work adds up to about _CHUNK per run."""
+    chunk = (np.cumsum(work) - work) // _CHUNK
+    cuts = np.flatnonzero(np.diff(chunk, prepend=-1))
+    return zip(cuts, [*cuts[1:], len(work)])
 
-    The 5-fold sum pairs the left row (m1, n1 + beta - m2, p1) with the right
-    row (m2 + alpha - m1, n2, p2), where n1 + n2 + p1 + p2 = gamma - 1.  So
-    its k = alpha + gamma - m1 + m2 - n1 - p1 is w_R + 1 for the right row's
-    weight w_R, and the pair alone fixes
 
-        P[xi] = sum_{t1 = 0..xi} L[t1] * R[w_R + 1 - xi + t1],   xi = 0..xi_max.
+def _add_terms(out: np.ndarray, bound: np.ndarray, owner: np.ndarray, coef: np.ndarray,
+               values: np.ndarray, vmax: np.ndarray) -> None:
+    """out[owner] += coef * values, summed per owner once each owner's running bound is checked.
 
-    Both factors are rows of weight <= w - 1, the rows of ``tab`` (see
-    :func:`_identity_table`) before the last weight.  Rows whose read window
-    is all zero are left out.  The pairs of each left row are all nonzero
-    right rows of weight <= w - 1 - w_L, a prefix of the right rows in order
-    of weight, so pair (l, r) sits at ``offset[l] + r`` with
-    ``l = left[row[m, n, p]]`` and ``r = right[row[m, n, p]]`` (-1 for a zero
-    row).  Returns (P, offset, left, right) with P of shape (pairs, xi_max + 1).
+    ``owner`` is sorted, vmax[i] >= max|values[i]| in float64, and bound[o]
+    bounds every partial sum of out[o] so far.
     """
-    span, w = np.arange(xi_max + 1), len(row) - 1
-    weight = np.sort(np.indices(row.shape).sum(axis=0)[row >= 0])  # of each row of tab, in order
-    weight = weight[weight < w]
-    head = tab[:weight.size]
+    owners, b = _segment_sums(owner, np.abs(coef) * vmax)
+    bound[owners] += b
+    _check_bound(bound[owners], "an identity residual")
+    owners, s = _segment_sums(owner, coef[:, None] * values)
+    out[owners] += s
+
+
+def _pairs(tab: np.ndarray, weight: np.ndarray, q_lo: int,
+           xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 5-fold sum's read windows and every (left row, right row) pair it reads.
+
+    Both factors are rows of ``tab`` (see :func:`_identity_table`) of weight
+    below w, the top of the sorted ``weight`` of its rows.  Left row l is read
+    at q = t1 in [0, xi_max] and right row r, of weight w_R, at q = w_R + 1 - j
+    for j in [0, xi_max], so lvec[l, t] is its count at q = t and rvec[r, j] at
+    q = w_R + 1 - j.  The pairs are every left row and right row of weights
+    adding up to at most w - 1 whose windows are not all zero, by left row,
+    then right row.  Returns (lvec, rvec, li, ri), li and ri as rows of tab.
+    """
+    span, w = np.arange(xi_max + 1), weight[-1]
+    head = tab[:np.searchsorted(weight, w)]
     lvec = head[:, -q_lo:xi_max + 1 - q_lo]
-    rvec = np.take_along_axis(head, (weight + 1 - q_lo)[:, None] - span, axis=1)  # R[w_R + 1 - j] at j
-    lnz, rnz = lvec.any(axis=1), rvec.any(axis=1)
-    lvec, lw = lvec[lnz], weight[lnz]
-    rvec, rw = rvec[rnz], weight[rnz]
-    left = np.full(len(tab), -1)
-    left[np.flatnonzero(lnz)] = np.arange(lw.size)
-    right = np.full(len(tab), -1)
-    right[np.flatnonzero(rnz)] = np.arange(rw.size)
-    prefix = np.searchsorted(rw, w - 1 - lw, side="right")
-    offset = np.cumsum(prefix) - prefix
-    pairs = np.zeros((prefix.sum(), xi_max + 1), dtype=np.int64)
-    rmax = np.abs(rvec.astype(float)).max(axis=1, initial=0.0)
-    for wl in range(w):
-        lo, hi = np.searchsorted(lw, (wl, wl + 1))
-        nr = prefix[lo] if hi > lo else 0
-        if nr == 0:
-            continue
-        lv, rv = lvec[lo:hi], rvec[:nr]
-        _check_bound(np.abs(lv.astype(float)).sum(axis=1).max() * rmax[:nr].max(),
-                     f"a q-correlation of weight-{wl} left rows")
-        block = pairs[offset[lo]:offset[lo] + (hi - lo) * nr].reshape(hi - lo, nr, xi_max + 1)
-        for t1 in np.flatnonzero(lv.any(axis=0)):
-            block[:, :, t1:] += lv[:, t1, None, None] * rv[None, :, :xi_max + 1 - t1]
-    return pairs, offset, left, right
+    rvec = np.take_along_axis(head, (weight[:len(head)] + 1 - q_lo)[:, None] - span, axis=1)
+    lrows, rrows = np.flatnonzero(lvec.any(axis=1)), np.flatnonzero(rvec.any(axis=1))
+    partners = np.searchsorted(weight[rrows], w - 1 - weight[lrows], side="right")
+    li, r = _spread(lrows[None], partners)
+    return lvec, rvec, li, rrows[r]
 
 
 def unitarity_identity_residuals(triples, xi_max: int,
@@ -284,81 +277,74 @@ def unitarity_identity_residuals(triples, xi_max: int,
 
     Row i holds the residuals of triples[i] = (alpha, beta, gamma) for the
     forward counts ``count``, tabulated once per call on every index the
-    identity reads (see :func:`_identity_table`).  One pass serves every
-    triple: the q-correlations of the 5-fold sum are formed once per (left
-    row, right row) pair (see :func:`_pair_table`), the index tuples of both
-    multi-sums are enumerated in fixed-size chunks of triples by repeat
-    expansions, tuples whose left or right row is zero are dropped, and each
-    triple's terms are added as one segment.  Every partial sum is bounded in
-    float64 first; a bound of 2**62 or more raises ArithmeticError rather
-    than let int64 wrap.
+    identity reads (see :func:`_identity_table`).  One pass evaluates every
+    triple of weight <= the largest selected weight, one per row of the
+    table, and the selected rows are gathered at the end.  The triple sum is
+    enumerated per triple; the 5-fold sum per (left row, right row) pair of
+    nonzero read windows (see :func:`_pairs`), which with m2 and n1 fixes one
+    term of one triple.  Both are expanded in fixed-size chunks by repeat
+    expansions, and each chunk's terms are added per triple as one segment.
+    Every partial sum is bounded in float64 first; a bound of 2**62 or more
+    raises ArithmeticError rather than let int64 wrap.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if xi_max < 0 or (triples < 0).any():
         raise ValueError("indices must be >= 0")
-    alpha, beta, gamma = triples.T
     w, X = int(triples.sum(axis=1).max(initial=0)), xi_max
     tab, row, q_lo = _identity_table(count, w, X)
+    keys = np.array(np.unravel_index(np.argsort(row, axis=None)[row.size - len(tab):], row.shape))
+    alpha, beta, gamma = keys  # of each row of tab
     span = np.arange(X + 1)
     comb = np.array([[math.comb(n, k) for k in range(w + 1)] for n in range(w + 1)], dtype=np.int64)
     rowmax = np.abs(tab.astype(float)).max(axis=1)
-    pairs, offset, left, right = _pair_table(tab, row, q_lo, X)
-    pmax = np.abs(pairs).max(axis=1, initial=0).astype(float)
 
     # count(alpha, beta, gamma, xi) and the two delta terms
-    out = tab[row[alpha, beta, gamma], -q_lo:X + 1 - q_lo]
+    out = tab[:, -q_lo:X + 1 - q_lo].copy()
     first = (beta == 0) & (alpha == gamma) & (alpha + 1 <= X)
     second = (alpha == beta + gamma + 1) & (alpha <= X)
     second_c = comb[np.maximum(alpha + gamma - 1, 0), gamma]
     bound = np.abs(out.astype(float)).max(axis=1, initial=0.0) + 1.0 + second_c * second
+    _check_bound(bound, "an identity residual")
 
-    work = (alpha + 1) * (beta + 1) * gamma * (gamma + 1) * (gamma + 2) // 6
-    chunk = (np.cumsum(work) - work) // _CHUNK
-    cuts = np.flatnonzero(np.diff(chunk, prepend=-1))
-    for lo, hi in zip(cuts, [*cuts[1:], len(triples)]):
-        st = np.vstack([np.arange(lo, hi), alpha[lo:hi], beta[lo:hi], gamma[lo:hi]])
-
-        # triple sum: -C(alpha,m) C(gamma-alpha+m+n-p, n) C(gamma,p) count(m, n, .., xi-gamma+p-1)
-        s3 = _spread(st, st[1] + 1)                                  # m
+    # triple sum: -C(alpha,m) C(gamma-alpha+m+n-p, n) C(gamma,p) count(m, n, .., xi-gamma+p-1),
+    # at most (alpha + 1) (gamma + 1) beta terms per triple
+    for lo, hi in _chunks((alpha + 1) * (gamma + 1) * beta):
+        s3 = _spread(np.vstack([np.arange(lo, hi), keys[:, lo:hi]]), alpha[lo:hi] + 1)  # m
         s3 = _spread(s3, s3[3] - s3[1] + s3[4] + 1)                  # p
         s3 = _spread(s3, s3[1] + s3[2] - s3[3] - s3[4] + s3[5])      # n
         i3, a3, b3, g3, m, p, n = s3
         row3 = row[m, n, a3 + b3 - g3 - m - n + 2 * p - 1]
         c3 = comb[a3, m] * comb[g3 - a3 + m + n - p, n] * comb[g3, p]
+        _add_terms(out, bound, i3, -c3, tab[row3[:, None], (p - g3 - 1 - q_lo)[:, None] + span],
+                   rowmax[row3])
 
-        # 5-fold sum, left row (m1, n1 + beta - m2, p1) first, then n2 and the right row
-        s5 = _spread(st, st[1] + 1)                                  # m1
-        s5 = _spread(s5, s5[2] + 1)                                  # m2
-        s5 = _spread(s5, s5[3])                                      # n1
-        s5 = _spread(s5, s5[3] - s5[6])                              # p1
-        _, _, b5, _, m1, m2, n1, p1 = s5
-        lrow = left[row[m1, n1 + b5 - m2, p1]]
-        i5, a5, b5, g5, m1, m2, n1, p1 = s5[:, lrow >= 0]
-        lrow = lrow[lrow >= 0]
-        d, e = a5 - m1 + m2, g5 - 1 - n1 - p1  # right row (d, n2, e - n2) has weight d + e
-        sign = 1 - 2 * ((d + e + 1) % 2)
-        s5 = _spread(np.vstack([i5, sign * comb[a5, m1] * comb[b5, m2], offset[lrow],
-                                d, e, n1, p1]), e + 1)               # n2
-        i5, c5, base, d, e, n1, p1, n2 = s5
-        rrow = right[row[d, n2, e - n2]]
-        keep = rrow >= 0
-        i5, n1, n2, p1, e = i5[keep], n1[keep], n2[keep], p1[keep], e[keep]
-        c5 = c5[keep] * comb[n1 + n2, n1] * comb[e + p1 - n2, p1]
-        pair = base[keep] + rrow[keep]
-
-        for owner, b in (_segment_sums(i3, np.abs(c3) * rowmax[row3]),
-                         _segment_sums(i5, np.abs(c5) * pmax[pair])):
-            bound[owner] += b
-        _check_bound(bound[lo:hi], "an identity residual")
-        owner, s = _segment_sums(
-            i3, c3[:, None] * tab[row3[:, None], (p - g3 - 1 - q_lo)[:, None] + span])
-        out[owner] -= s
-        owner, s = _segment_sums(i5, c5[:, None] * pairs[pair])
-        out[owner] += s
+    # 5-fold sum: left row (m1, nl, p1), right row (mr, n2, pr), m2 <= mr and n1 <= nl are the
+    # term of (alpha, beta, gamma) = (m1 + mr - m2, nl + m2 - n1, n1 + n2 + p1 + pr + 1), with
+    # (-1)^(w_R+1) C(alpha,m1) C(beta,m2) C(n1+n2,n1) C(p1+pr,p1) times the pair's q-correlation
+    # P[xi] = sum_{t1 = 0..xi} L[t1] R[w_R + 1 - xi + t1]
+    lvec, rvec, li, ri = _pairs(tab, alpha + beta + gamma, q_lo, X)
+    for lo, hi in _chunks((keys[0, ri] + 1) * (keys[1, li] + 1)):
+        lv, rv = lvec[li[lo:hi]], rvec[ri[lo:hi]]
+        _check_bound(np.abs(lv.astype(float)).sum(axis=1) * np.abs(rv.astype(float)).max(axis=1),
+                     "a q-correlation of the 5-fold sum")
+        corr = np.zeros_like(lv)
+        for t1 in np.flatnonzero(lv.any(axis=0)):
+            corr[:, t1:] += lv[:, t1, None] * rv[:, :X + 1 - t1]
+        s5 = np.vstack([np.arange(hi - lo), keys[:, li[lo:hi]], keys[:, ri[lo:hi]]])
+        s5 = _spread(s5, s5[4] + 1)                                  # m2
+        k, m1, nl, p1, mr, n2, pr, m2, n1 = _spread(s5, s5[2] + 1)   # n1
+        a5, b5 = m1 + mr - m2, nl + m2 - n1
+        c5 = (1 - 2 * ((mr + n2 + pr + 1) % 2)) * comb[a5, m1] * comb[b5, m2] \
+            * comb[n1 + n2, n1] * comb[p1 + pr, p1]
+        i5 = row[a5, b5, n1 + n2 + p1 + pr + 1]
+        order = np.argsort(i5)
+        k = k[order]
+        _add_terms(out, bound, i5[order], c5[order], corr[k],
+                   np.abs(corr).max(axis=1).astype(float)[k])
 
     out[first, np.minimum(alpha + 1, X)[first]] -= 1
     out[second, np.minimum(alpha, X)[second]] -= second_c[second]
-    return out
+    return out[row[tuple(triples.T)]]
 
 
 def unitarity_identity_residual(
@@ -374,8 +360,9 @@ def unitarity_identity_residual(
     power index xi, a multi-sum of forward counts and binomials that must
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
     ``forward_count`` hook, :func:`forward_count_closed` when None, exists so
-    tests can inject a corrupted table as a negative control; this is a
-    one-triple call of :func:`unitarity_identity_residuals`.
+    tests can inject a corrupted table as a negative control.  This is a
+    one-triple call of :func:`unitarity_identity_residuals`, so it evaluates
+    every triple of weight <= alpha + beta + gamma and returns one entry.
     """
     count = forward_count or forward_count_closed
     return int(unitarity_identity_residuals([(alpha, beta, gamma)], xi, count)[0, xi])

@@ -16,8 +16,9 @@ MAX_PRODUCT_DIM = 512
 # of it in the product) on a 2-vCPU host; apply_product's time grows as N^2 and its memory as N,
 # so N = 16384 would take ~0.4 s and 6.7 MB per 4 columns
 CONVERGE_DIM_CAP = 4096
-# verify's coefficient identity is one exact int64 pass over every triple: ~8 ms at
-# s_max = 10 and ~0.33 s at 20 on a 2-vCPU host, ~17 MB of numpy arrays at its peak
+# verify's coefficient identity is one exact int64 pass over every triple: ~7 ms at
+# s_max = 10 and ~0.26 s at 20 on a 2-vCPU host, ~6 MB of numpy arrays at its peak
+# (~0.64 s and ~9 MB at 24)
 VERIFY_IDENTITY_CAP = 20
 
 # kernel evaluates an n x n grid one point per call: ~0.1 ms per point at --s-max 0 and ~14 ms

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ from causalprod.coefficients import (
     unitarity_identity_residuals,
 )
 from causalprod.combinatorics import catalan_general
+from causalprod.config import VERIFY_IDENTITY_CAP
 from series_oracle import (
     corrupted_count,
     isometry_series_defects,
@@ -190,6 +192,32 @@ def test_identity_scalar_matches_slow_oracle(at):
                 unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
 
 
+def test_identity_selection_gathers_rows_of_the_full_pass():
+    """A shuffled selection with repeats reads its rows of the full pass; none reads none."""
+    count = corrupted_count((1, 0, 1, 1))
+    triples = identity_triples(8)
+    full = unitarity_identity_residuals(triples, 10, count)
+    pick = np.random.default_rng(0).permutation(np.r_[np.arange(0, 165, 7), [3, 3, 40, 90, 40]])
+    chosen = unitarity_identity_residuals(triples[pick], 10, count)
+    assert np.array_equal(chosen, full[pick]) and chosen.any()
+    for (alpha, beta, gamma), row in zip(triples[pick].tolist(), chosen.tolist()):
+        assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+                       for xi in range(11)]
+    assert unitarity_identity_residuals(np.empty((0, 3), dtype=int), 10, count).shape == (0, 11)
+
+
+def test_identity_pass_memory_at_the_cap():
+    """At verify's cap the pass holds under 8 MB of Python and numpy memory at its peak."""
+    triples = identity_triples(VERIFY_IDENTITY_CAP)
+    tracemalloc.start()
+    try:
+        unitarity_identity_residuals(triples, VERIFY_IDENTITY_CAP + 2, forward_count_closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_identity_tabulates_each_count_once_per_call():
     """Every index of the window is counted once per call, and no call reuses another's table."""
     calls = Counter()
@@ -231,10 +259,17 @@ def test_identity_overflow_guard_refuses():
         unitarity_identity_residual(2, 0, 2, 3, count)
     with pytest.raises(ArithmeticError):  # does not fit in int64 at all
         unitarity_identity_residuals(identity_triples(2), 4, _count_with((1, 0, 1, 1), 2 ** 63))
-    # far below the bound the same corruption is a residual like any other
+    with pytest.raises(ArithmeticError):  # read only as the right-hand factor of the 5-fold sum
+        unitarity_identity_residuals(identity_triples(6), 8, _count_with((0, 0, 0, -5), 2 ** 61))
+    # far below the bound the same corruptions are residuals like any other
     count = _count_with((1, 0, 1, 1), 2 ** 40)
     assert unitarity_identity_residual(2, 0, 2, 3, count) == \
         unitarity_identity_residual_slow(2, 0, 2, 3, count) != 0
+    count = _count_with((0, 0, 0, -5), 2 ** 40)
+    res = unitarity_identity_residuals(identity_triples(6), 8, count)
+    assert res.any() and res.tolist() == [
+        [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count) for xi in range(9)]
+        for alpha, beta, gamma in identity_triples(6).tolist()]
 
 
 def test_isometry_series_oracle_exact():
