@@ -15,11 +15,11 @@ sweeps: factors on disjoint rows commute, so within a group every earlier
 row passes through the same (g+1) x (g+1) step matrix M, and a block of g
 earlier rows passes through one fixed 2g x 2g tile built from M.  A tile
 needs only the tiles left of it and above it, so each anti-diagonal of tiles
-is one batched matrix product, and the size-g product then acts on each
-group's own rows; M_AA is persymmetric, so one table of rows M_xA M_AA^t
-fills every tile.  The error is rounding only: per entry, at most 4.9e-15
-against the dense product for N <= 512 and 2.93e-14 against
-``tests/product_oracle.py::product_columns`` for N <= 4096.
+is one batched matrix product, and the size-g product, a chain of single
+sweeps, then acts on each group's own rows; M_AA is persymmetric, so one
+table of rows M_xA M_AA^t fills every tile.  The error is rounding only: per
+entry, at most 4.9e-15 against the dense product for N <= 512 and 1.01e-14
+against ``tests/product_oracle.py::product_columns`` for N <= 4096.
 """
 from __future__ import annotations
 
@@ -142,50 +142,36 @@ def double_product(n: int, iv: Interval, nu: ComplexParam,
     return _sweep(n, ordering, math.cos(theta), -phase.conjugate() * s, phase * s)
 
 
-def _plain_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
-    """Apply sweeps 1..n-1 to u in place, one factor at a time.
+def _grouped_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
+    """Apply sweeps 1..n-1 to u in place, g = round(sqrt(n)) at a time.
 
     u is k x n and column t holds row t of the reversed block, so sweep r has
-    accumulator column r and steps through columns 0..r-1.
-    """
-    for r in range(1, u.shape[1]):
-        a = u[:, r]
-        for t in range(r):
-            x = u[:, t]
-            u[:, t], a = lo * a + c * x, c * a + up * x
-        u[:, r] = a
-
-
-def _grouped_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
-    """Apply sweeps 1..n-1 to u in place (layout of ``_plain_sweep``), g = round(sqrt(n)) at a time.
-
-    A group is g consecutive sweeps; the rows before it are its passive rows
-    x_t and its own g rows are its starting accumulators A.  Passing x_t
-    through the g sweeps is one (g+1) x (g+1) step matrix
-    M = [[M_AA, M_Ax], [M_xA, c^g]], the same for every t and every group.
-    With e_t = M_xA M_AA^t and h_d = e_(d-1) M_Ax, passing a block of p
-    passive rows x_0..x_(p-1) in turn is one (g+p) x (g+p) tile
+    accumulator column r and steps through columns 0..r-1.  A group is g
+    consecutive sweeps; the rows before it are its passive rows x_t and its
+    own g rows are its starting accumulators A.  Passing x_t through the g
+    sweeps is one (g+1) x (g+1) step matrix M = [[M_AA, M_Ax], [M_xA, c^g]],
+    the same for every t and every group.  With e_t = M_xA M_AA^t and
+    h_d = e_(d-1) M_Ax, passing a block of p passive rows x_0..x_(p-1) in
+    turn is one (g+p) x (g+p) tile
 
         A   <- M_AA^p A + sum_{s<p} M_AA^(p-1-s) M_Ax x_s
         x_t <- c^g x_t + sum_{s<t} h_(t-s) x_s + e_t A
 
-    after which D, the size-g product of the same factor (this routine on a
-    g x g identity), acts on the group's rows alone.  The first
-    1 + (n-1) % g rows are a smaller product of their own (the lead, block
-    T = -1), so every later block is a whole group and one 2g x 2g tile
-    serves every pair of group R and earlier group T; a second tile serves
-    the lead.  Tile (R, T) needs only tiles (R, T-1) and (R-1, T), and D of
-    group T comes between tiles (T, T-1) and (T+1, T).  So the tiles on one
-    anti-diagonal R + T touch disjoint rows, and the sweep runs over the
-    ~2 n/g anti-diagonals, each one batched matrix product plus at most one
-    lead tile and one D.  Blocks of at most 8 rows take the plain sweep.
-    Rows are held as columns, which makes every product above a right
-    multiplication.
+    after which D, the sweeps of the group's own rows among themselves, acts
+    on those rows alone.  Sweep r on its own rows is the (r+1) x (r+1)
+    right multiplier S_r with M_AA[:r, :r]^T top left, last row lo c^t and
+    last column up c^(r-1-t) for t < r, and corner c^r, so D is the chain
+    S_1 ... S_(g-1).  The first 1 + (n-1) % g rows (the lead, block T = -1)
+    take the chain's first steps, so every later block is a whole group and
+    one 2g x 2g tile serves every pair of group R and earlier group T; a
+    second tile serves the lead.  Tile (R, T) needs only tiles (R, T-1) and
+    (R-1, T), and D of group T comes between tiles (T, T-1) and (T+1, T).
+    So the tiles on one anti-diagonal R + T touch disjoint rows, and the
+    sweep runs over the ~2 n/g anti-diagonals, each one batched matrix
+    product plus at most one lead tile and one D.  Rows are held as
+    columns, which makes every product above a right multiplication.
     """
     n = u.shape[1]
-    if n <= 8:
-        _plain_sweep(u, c, up, lo)
-        return
     g = round(math.sqrt(n))
     pw = c ** np.arange(g, dtype=float)  # c^0 .. c^(g-1)
     lag = np.subtract.outer(np.arange(g), np.arange(g))  # lag[i, j] = i - j
@@ -216,12 +202,19 @@ def _grouped_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
 
     start = 1 + (n - 1) % g
     lead = u[:, :start]
-    _grouped_sweep(lead, c, up, lo)
+    d = np.eye(g, dtype=complex)  # the chain S_1 ... S_r so far, the transpose of D at the end
+    for r in range(1, g):
+        s = np.empty((r + 1, r + 1), dtype=complex)
+        s[:r, :r] = m_aa[:r, :r].T
+        s[r, :r] = lo * pw[:r]
+        s[:r, r] = up * pw[r - 1::-1]
+        s[r, r] = c ** r
+        d[:r + 1, :r + 1] = d[:r + 1, :r + 1] @ s  # rows past r are 0 in these columns
+        if r == start - 1:
+            lead[:] = lead @ d[:start, :start]
     # a view: groups[:, R] holds group R's rows, and writes to it land in u
     groups = u[:, start:].reshape(len(u), (n - start) // g, g)
     count = groups.shape[1]
-    d = np.eye(g, dtype=complex)
-    _grouped_sweep(d, c, up, lo)  # the transpose of D
     t_lead, t_full = tile(start), tile(g)
     past = groups[:, ::-1]  # past[:, count - 1 - T] is block T
     for diag in range(-1, 2 * count - 1):  # tile (R, T) on anti-diagonal R + T; the lead is T = -1
@@ -246,29 +239,31 @@ def apply_product(n: int, iv: Interval, nu: ComplexParam, block: np.ndarray) -> 
     The row-major factors are applied right to left as row updates.  With the
     block's rows reversed, sweep r (1..n-1) has accumulator row r and steps
     through rows 0..r-1: each step maps (a, v) to (c a + up v, lo a + c v).
-    Factors on disjoint rows commute, so each passive row can pass through a
-    whole group of g ~ sqrt(n) sweeps before the next one does, and a block
-    of g passive rows passes a group by one fixed 2g x 2g tile.
-    ``_grouped_sweep`` applies the tiles one anti-diagonal at a time, each
-    anti-diagonal as one batched matrix product.  Every tile entry comes from
-    one table of rows e_t = M_xA M_AA^t of the step matrix: M_AA is
-    lower-triangular Toeplitz (c on the diagonal, up lo c^(i-j-1) below),
-    hence persymmetric, and M_Ax[i] = up c^i, M_xA[j] = lo c^(g-1-j), so
-    (M_AA^t M_Ax)^T is up/lo times e_t reversed.  That is about 2 sqrt(n)
-    Python-level steps and ~2 n^2 k complex multiply-adds in BLAS for k
-    columns, in O(nk + n) memory.
+    ``_grouped_sweep`` passes blocks of g ~ sqrt(n) rows through groups of g
+    sweeps by fixed tiles, one anti-diagonal of tiles per batched matrix
+    product.  Every tile entry comes from one table of rows e_t = M_xA M_AA^t
+    of the step matrix: M_AA is lower-triangular Toeplitz (c on the
+    diagonal, up lo c^(i-j-1) below), hence persymmetric, and
+    M_Ax[i] = up c^i, M_xA[j] = lo c^(g-1-j), so (M_AA^t M_Ax)^T is up/lo
+    times e_t reversed.  The group's own product D is a chain of g - 1
+    single sweeps.  That is ~2 n/g anti-diagonals plus ~g chain steps, about
+    3 sqrt(n) Python-level steps, and ~2 n^2 k complex multiply-adds in BLAS
+    for k columns, in O(nk + n) memory.
 
-    Error model: every tile is unitary (the product of the g^2 rotations it
-    stands for), so nothing is divided by c = cos((b-a)|nu|/n) and no power
-    grows; the error is rounding only, and the O(1) powers of c come from
-    pow.  Nearly all of it is the rounding of the state as each row passes
-    its ~sqrt(n) tiles: with every tile exact to an ulp, the worst case
-    below moves by under 1%.  Per entry, with nu in {0.6+0.8i, 3-4i, 1+0.5i,
-    1, i}, |fast - dense| <= 4.9e-15 for n <= 512.  Against
-    ``tests/product_oracle.py::product_columns`` (long double) on 2-5 unit
-    columns, |fast - scan| <= 2.3e-15 at n = 1024, 4096 (also nu = 6+8i)
-    and <= 1e-29, 2.93e-14, 5.1e-15 at rotation angles pi/2 (n = 520), 1.5,
-    2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are refused.
+    Error model: every tile and D are unitary (products of the rotations
+    they stand for), so nothing is divided by c = cos((b-a)|nu|/n) and no
+    power grows; the error is rounding only, and the O(1) powers of c come
+    from pow.  Most of it is made where the tiles and D are formed: with
+    those formed in long double and rounded once, the worst case below
+    falls from 1.01e-14 to 1.7e-15, and the rounding of the state as each
+    row passes its ~sqrt(n) tiles is ~1e-15.  Per entry, with nu in
+    {0.6+0.8i, 3-4i, 1+0.5i, 1, i}, |fast - dense| <= 4.9e-15 for n <= 512,
+    and <= 2.7e-15, 5.5e-30, 1.0e-15 for n <= 80 at rotation angles 1.5,
+    pi/2, 3.0.  Against ``tests/product_oracle.py::product_columns`` (long
+    double) on 2-5 unit columns, |fast - scan| <= 2.3e-15 at n = 1024, 4096
+    (also nu = 6+8i) and <= 2.6e-29, 1.01e-14, 7.8e-15 at rotation angles
+    pi/2 (n = 520), 1.5, 2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are
+    refused.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

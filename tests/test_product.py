@@ -318,14 +318,17 @@ def test_apply_product_random_block(n):
     assert np.max(np.abs(apply_product(n, IV, NU, block[:, 0]) - w @ block[:, 0])) < 1e-13
 
 
-@pytest.mark.parametrize("nu", [NU, None], ids=["1+0.5i", "angle1.5"])
+@pytest.mark.parametrize("nu", [NU, 1.5, math.pi / 2, 3.0],
+                         ids=["1+0.5i", "angle1.5", "angle_pi_over_2", "angle3.0"])
 def test_apply_product_matches_dense_for_every_tile_shape(nu):
-    """Every n in 2..80: the plain sweep up to 8, then group sizes g = 3..9 with
-    every lead size 1 + (n-1) % g in [1, g], 2..8 groups, and anti-diagonals of
-    one and of several tiles."""
+    """Every n in 2..80: group sizes g = 1..9 with every lead size
+    1 + (n-1) % g in [1, g], 1..8 groups, and anti-diagonals of one and of
+    several tiles.  A float nu is the rotation angle per factor: at pi/2
+    (c ~ 6e-17) the chain's powers of c vanish, and at 3.0 (c < 0) they
+    alternate in sign."""
     rng = np.random.default_rng(80)
     for n in range(2, 81):
-        nu_n = nu or ComplexParam(0.0, 1.5 * n / IV.width)
+        nu_n = nu if isinstance(nu, ComplexParam) else ComplexParam(0.0, nu * n / IV.width)
         w = double_product(n, IV, nu_n)
         block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         assert np.max(np.abs(apply_product(n, IV, nu_n, np.eye(n)) - w)) < 1e-13, n
