@@ -90,7 +90,7 @@ class SeriesPolynomial:
     """Degree-s slice of the kernel series.
 
     Each term (m, n, p, q, c) stands for
-    c * (-conj(nu))**q * nu**(s-q) * (x-a)^m (y-x)^n (b-y)^p / (m! n! p!),
+    c * (-conj(nu))**q * nu**(s-q) * x^m (y-x)^n (1-y)^p / (m! n! p!) on [0, 1),
     with (x, y) swapped when ``dagger`` is set (anticausal slice).  The complex
     prefactor is attached only at evaluation time; the stored data is exact.
     """
@@ -105,13 +105,14 @@ class SeriesPolynomial:
             out.setdefault((m, n, p), {})[q] = c
         return out
 
-    def evaluate(self, x: float, y: float, a: float, b: float, nu: complex) -> complex:
+    def evaluate(self, x: float, y: float, nu: complex) -> complex:
+        """The slice's value at (x, y) in [0, 1)^2, the scale-free interval."""
         if self.dagger:
             x, y = y, x
         nubar = nu.conjugate()
         total = 0j
         for m, n, p, q, c in self.terms:
-            mono = (x - a) ** m * (y - x) ** n * (b - y) ** p
+            mono = x**m * (y - x) ** n * (1.0 - y) ** p
             mono /= math.factorial(m) * math.factorial(n) * math.factorial(p)
             total += c * (-nubar) ** q * nu ** (self.degree - q) * mono
         return total
@@ -158,7 +159,7 @@ def truncated_kernel(x: float, y: float, a: float, b: float, nu: complex,
     u, v, nu_w = (x - a) / width, (y - a) / width, nu * width
     total = 0j
     for s in range(1, s_max + 1):
-        total += _cached_series(s, y < x).evaluate(u, v, 0.0, 1.0, nu_w)
+        total += _cached_series(s, y < x).evaluate(u, v, nu_w)
     return total / width
 
 

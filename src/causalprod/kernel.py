@@ -13,7 +13,8 @@ sum_q B_q(x, y) phase^q is sum_q w^q J_q(2 sqrt(xy)) with |w| <= 1, which
 ``_order_sum`` takes along Miller's backward recurrence: on 300 seeded points
 with y up to 200 it was within 1.1e-15 max(1, |sum|) of mpmath, and within
 ~M eps (M the recurrence's length) where x is close to y.  ``limit_kernel``
-is the kernel's one evaluator; ``kernel_causal`` and ``kernel_anticausal``
+is the kernel's one evaluator, and every integral of the package goes through
+it; ``kernel_causal`` and ``kernel_anticausal`` are public entry points that
 check their region and call it.
 
 The series B_j and G_j stop at the one truncation tolerance DEFAULT_TOL, and
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -345,25 +346,25 @@ def gauss_legendre(fn: Callable[[np.ndarray], np.ndarray], lo, hi, n: int):
 def isometry_residual(x, y, iv: Interval, nu: ComplexParam) -> complex | np.ndarray:
     """Defect of the isometry identity at a < x < y < b; zero when the operator is unitary.
 
-    f(x,y) + conj(g(y,x)) + int_a^x g(x,z)conj(g(y,z)) dz
-    + int_x^y f(x,z)conj(g(y,z)) dz + int_y^b f(x,z)conj(f(y,z)) dz,
-
-    with f the causal and g the anticausal kernel part.  x and y broadcast;
-    each of the three integrals is one quadrature over the panels of every
-    point, CHECK_NODES Gauss-Legendre nodes each; the panel split at x and y
-    matters because the kernel switches branch there.  A Python complex for
-    scalar x and y, else a complex array.
+    K(x,y) + conj(K(y,x)) + int_a^b K(x,z) conj(K(y,z)) dz, the (x, y) entry of
+    K + K* + KK* for K = limit_kernel.  x and y broadcast; the integral is one
+    quadrature over the panels [a, x), [x, y) and [y, b) of every point,
+    CHECK_NODES Gauss-Legendre nodes each, split at x and y because the kernel
+    switches branch there.  A Python complex for scalar x and y, else a
+    complex array.
     """
     x, y = _points(x, y, lambda u, v: (iv.a < u) & (u < v) & (v < iv.b),
                    f"a < x < y < b for {iv}")
+    ends = np.stack(np.broadcast_arrays(iv.a, x, y, iv.b), axis=-1)
+    rows = np.stack([x, y])[..., None, None]  # against the (*points, 3, CHECK_NODES) nodes
 
-    f, g = partial(kernel_causal, iv=iv, nu=nu), partial(kernel_anticausal, iv=iv, nu=nu)
-    u, v = x[..., None], y[..., None]  # against the (*points, CHECK_NODES) nodes
-    total = f(x, y) + np.conjugate(g(y, x))
-    total += gauss_legendre(lambda z: g(u, z) * np.conjugate(g(v, z)), iv.a, x, CHECK_NODES)
-    total += gauss_legendre(lambda z: f(u, z) * np.conjugate(g(v, z)), x, y, CHECK_NODES)
-    total += gauss_legendre(lambda z: f(u, z) * np.conjugate(f(v, z)), y, iv.b, CHECK_NODES)
-    return _scalar_or_array(np.asarray(total))
+    def integrand(z: np.ndarray) -> np.ndarray:
+        kx, ky = limit_kernel(rows, z, iv, nu)
+        return kx * np.conjugate(ky)
+
+    kxy, kyx = limit_kernel(np.stack([x, y]), np.stack([y, x]), iv, nu)
+    panels = gauss_legendre(integrand, ends[..., :-1], ends[..., 1:], CHECK_NODES)
+    return _scalar_or_array(kxy + np.conjugate(kyx) + panels.sum(axis=-1))
 
 
 def lommel_residual(alpha, beta, x) -> float | np.ndarray:

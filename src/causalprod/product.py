@@ -36,8 +36,6 @@ from .kernel import (
     ComplexParam,
     Interval,
     gauss_legendre,
-    kernel_anticausal,
-    kernel_causal,
     limit_kernel,
 )
 
@@ -403,29 +401,25 @@ def limit_bilinear_form(left: PiecewisePolynomial, right: PiecewisePolynomial,
                         iv: Interval, nu: ComplexParam) -> complex:
     """<left, K right> for the limit kernel K, by nested Gauss-Legendre.
 
-    The inner integral is split at the diagonal, where the kernel switches branch,
-    the outer one at right's support ends, where the inner panels change shape;
-    each panel gets _PANEL_NODES nodes, and each inner panel is one kernel call.
+    The inner integral at x is split at m = clip(x, right.lo, right.hi), where
+    the kernel switches branch, into [right.lo, m) and [m, right.hi); a panel
+    of width zero adds 0.  The outer integral is split at right's support
+    ends, where the inner panels change shape.  Each panel gets _PANEL_NODES
+    nodes, and the inner panels of all nodes of an outer panel are one kernel
+    call.
     """
     if nu.modulus == 0.0:
         return 0j
 
-    def inner(x: float) -> complex:
-        total = 0j
-        lo, hi = right.lo, right.hi
-        if x > lo:
-            total += gauss_legendre(
-                lambda y: kernel_anticausal(x, y, iv, nu) * right(y),
-                lo, min(x, hi), _PANEL_NODES)
-        if x < hi:
-            total += gauss_legendre(
-                lambda y: kernel_causal(x, y, iv, nu) * right(y),
-                max(x, lo), hi, _PANEL_NODES)
-        return total
+    def outer(xs: np.ndarray) -> np.ndarray:
+        m = np.clip(xs, right.lo, right.hi)
+        ends = np.stack(np.broadcast_arrays(right.lo, m, right.hi), axis=-1)
+        inner = gauss_legendre(lambda y: limit_kernel(xs[..., None, None], y, iv, nu) * right(y),
+                               ends[..., :-1], ends[..., 1:], _PANEL_NODES)
+        return left(xs) * inner.sum(axis=-1)
 
     cuts = sorted({left.lo, left.hi, *(c for c in (right.lo, right.hi) if left.lo < c < left.hi)})
-    return sum(gauss_legendre(lambda xs: np.array([left(x) * inner(x) for x in xs]),
-                              lo, hi, _PANEL_NODES) for lo, hi in zip(cuts, cuts[1:]))
+    return sum(gauss_legendre(outer, lo, hi, _PANEL_NODES) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def first_excluded_term_bound(n: int, iv: Interval, nu: ComplexParam) -> float:

@@ -6,8 +6,11 @@ differential tests in ``test_kernel_arrays.py`` compare the fast path with a
 slow one and not with itself.  The loops go one point at a time: one partial
 sum per point, the order sum summed by total degree with one degree per step
 (the fast path takes it along a backward Bessel recurrence), one scalar
-kernel call per Gauss-Legendre node, and one quadrature per residual.  The
-mpmath references of B_j and of the order sum sit here too.
+kernel call per Gauss-Legendre node, and one quadrature per residual or per
+inner panel of ``limit_bilinear_form`` (tested in ``test_product.py``).  The
+residuals and the bilinear form call the causal and the anticausal kernel
+each on its own region, where the fast path calls ``limit_kernel`` on every
+panel.  The mpmath references of B_j and of the order sum sit here too.
 """
 from __future__ import annotations
 
@@ -142,6 +145,31 @@ def isometry_residual_slow(x: float, y: float, iv: Interval, nu: ComplexParam,
     total += gauss_legendre_slow(lambda z: f(x, z) * g(y, z).conjugate(), x, y, quad_n)
     total += gauss_legendre_slow(lambda z: f(x, z) * f(y, z).conjugate(), y, iv.b, quad_n)
     return total
+
+
+def limit_bilinear_form_slow(left, right, iv: Interval, nu: ComplexParam, quad_n: int,
+                             tol: float) -> complex:
+    """<left, K right> for piecewise polynomials, the inner integral at x split at the diagonal.
+
+    The anticausal panel [right.lo, min(x, right.hi)) is taken where x > right.lo
+    and the causal panel [max(x, right.lo), right.hi) where x < right.hi; the
+    outer integral is split at right's support ends inside left's support.
+    """
+    def inner(x):
+        total = 0j
+        if x > right.lo:
+            total += gauss_legendre_slow(
+                lambda y: kernel_anticausal_slow(x, y, iv, nu, tol) * right(y),
+                right.lo, min(x, right.hi), quad_n)
+        if x < right.hi:
+            total += gauss_legendre_slow(
+                lambda y: kernel_causal_slow(x, y, iv, nu, tol) * right(y),
+                max(x, right.lo), right.hi, quad_n)
+        return total
+
+    cuts = sorted({left.lo, left.hi, *(c for c in (right.lo, right.hi) if left.lo < c < left.hi)})
+    return sum(gauss_legendre_slow(lambda x: left(x) * inner(x), lo, hi, quad_n)
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 def lommel_residual_slow(alpha: float, beta: float, x: float, quad_n: int,

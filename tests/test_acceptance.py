@@ -79,7 +79,7 @@ def test_criterion_02_low_degree_series_tables():
     ok = ok and all(anticausal_series(s).coeff_map() == exp
                     for s, exp in expected_anticausal.items())
     nu = 0.3 + 1.1j
-    ok = ok and abs(anticausal_series(1).evaluate(0.6, 0.2, 0.0, 1.0, nu) - nu) < 1e-15
+    ok = ok and abs(anticausal_series(1).evaluate(0.6, 0.2, nu) - nu) < 1e-15
     _report(2, "degree 1-3 series tables", ok)
 
 

@@ -126,10 +126,10 @@ def test_series_slices_match_frozen_tables():
 def test_series_polynomial_evaluation():
     # degree-1 causal slice is the constant -conj(nu)
     nu = 0.8 + 0.3j
-    val = causal_series(1).evaluate(0.2, 0.7, 0.0, 1.0, nu)
+    val = causal_series(1).evaluate(0.2, 0.7, nu)
     assert abs(val - (-nu.conjugate())) < 1e-15
     # degree-1 anticausal slice is the constant +nu
-    val = anticausal_series(1).evaluate(0.7, 0.2, 0.0, 1.0, nu)
+    val = anticausal_series(1).evaluate(0.7, 0.2, nu)
     assert abs(val - nu) < 1e-15
 
 

@@ -2,6 +2,7 @@ import inspect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -180,15 +181,16 @@ def test_isometry_residual_small():
 def test_isometry_residual_region_and_nodes(monkeypatch):
     with pytest.raises(ValueError):
         isometry_residual(0.7, 0.3, IV, NU)
-    nodes = []
+    calls = []
 
     def counted(fn, lo, hi, n):
-        nodes.append(n)
+        calls.append((np.shape(lo), np.shape(hi), n))
         return gauss_legendre(fn, lo, hi, n)
 
     monkeypatch.setattr(kernel, "gauss_legendre", counted)
     isometry_residual(0.3, 0.7, IV, NU)
-    assert nodes == [64] * 3
+    # one quadrature over the panels [a, x), [x, y) and [y, b)
+    assert calls == [((3,), (3,), kernel.CHECK_NODES)]
 
 
 def test_isometry_residual_quadrature_refinement(monkeypatch):

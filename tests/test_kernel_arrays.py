@@ -98,7 +98,9 @@ def test_kernel_arrays_match_scalar_loops(iv, nu, tol):
 
 @pytest.mark.parametrize("iv, nu", CASES[:4])
 def test_isometry_residual_matches_scalar_panels(iv, nu):
-    for fx, fy in ((0.25, 0.75), (0.1, 0.9)):
+    # the last four leave one or two panels of width ~1e-9
+    for fx, fy in ((0.25, 0.75), (0.1, 0.9), (1e-9, 0.5), (0.5, 1 - 1e-9), (0.4, 0.4 + 1e-9),
+                   (1e-9, 1 - 1e-9)):
         x, y = iv.a + fx * iv.width, iv.a + fy * iv.width
         fast = isometry_residual(x, y, iv, nu)
         assert _close(fast, isometry_residual_slow(x, y, iv, nu, kernel.CHECK_NODES,

@@ -1,9 +1,11 @@
-"""Every module-level private name in the package is used somewhere in the package.
+"""Every module-level private name and import in the package is read in the package.
 
 A refactor that moves the last caller off a helper (``_name`` at module level:
 a function, class or assigned constant) must delete the helper too.  A name
 counts as used when it is read, as a bare name or as an attribute, anywhere in
-``src/causalprod`` besides its own definition; tests do not count.
+``src/causalprod`` besides its own definition; tests do not count.  Likewise a
+name imported at module level must be read as a bare name in its own module,
+except in ``__init__.py``, whose imports are the package's exports.
 """
 import ast
 from pathlib import Path
@@ -41,3 +43,19 @@ def test_module_level_private_names_are_used_in_the_package():
     unused = {module: names for module, tree in TREES.items()
               if (names := [n for n in _private_definitions(tree) if n not in reads])}
     assert not unused, f"defined but never read in src/causalprod: {unused}"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+             for alias in node.names]
+    reads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in reads]
+
+
+def test_module_level_imports_are_read_in_their_module():
+    unread = {module: names for module, tree in TREES.items()
+              if module != "__init__.py" and (names := _unread_imports(tree))}
+    assert not unread, f"imported but never read: {unread}"

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from causalprod.kernel import ComplexParam, Interval, limit_kernel
+from causalprod import product
+from causalprod.kernel import DEFAULT_TOL, ComplexParam, Interval, limit_kernel
 from causalprod.product import (
     PairOrdering,
     PiecewisePolynomial,
@@ -19,6 +20,7 @@ from causalprod.product import (
     linearized_product,
     midpoints,
 )
+from kernel_oracle import limit_bilinear_form_slow
 from product_oracle import product_columns
 from unitarity import unitarity_defect
 
@@ -512,6 +514,25 @@ def test_weak_convergence_up_to_4096():
     gaps = [abs(bilinear_form(n, IV, NU, left, right) - exact)
             for n in (256, 512, 1024, 2048, 4096)]
     assert all(1.9 <= g0 / g1 <= 2.1 for g0, g1 in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("left, right, iv, nu", [
+    (PiecewisePolynomial(0.1, 0.6, (1.0,)), PiecewisePolynomial(0.3, 0.9, (0.5, 1.0)),
+     IV, ComplexParam(1.0, 0.5)),
+    # the right support ends at b
+    (PiecewisePolynomial(0.0, 1.0, (1.0,)), PiecewisePolynomial(0.5, 1.0, (1.0, -2.0)),
+     IV, ComplexParam(0.6, -0.8)),
+    # disjoint supports: only the anticausal branch applies
+    (PiecewisePolynomial(0.5, 0.7, (1.0,)), PiecewisePolynomial(-0.2, 0.4, (1.0,)),
+     Interval(-0.25, 1.0), ComplexParam(0.0, 1.7)),
+    # the same support on both sides
+    (PiecewisePolynomial(0.2, 0.3, (1.0, 2.0)), PiecewisePolynomial(0.2, 0.3, (1.0,)),
+     IV, ComplexParam(1.0, 0.0)),
+])
+def test_limit_bilinear_form_matches_the_two_branch_slow_form(left, right, iv, nu):
+    fast = limit_bilinear_form(left, right, iv, nu)
+    slow = limit_bilinear_form_slow(left, right, iv, nu, product._PANEL_NODES, DEFAULT_TOL)
+    assert abs(fast - slow) <= 1e-13 * max(1.0, abs(slow))
 
 
 def test_limit_bilinear_form_zero_parameter():
