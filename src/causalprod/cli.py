@@ -105,8 +105,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows.append({"name": "catalan_recurrence", "params": "|m|,|n|,|p| <= 8",
                  "residual": float(failures), "tolerance": 0.0, "pass": int(failures == 0)})
 
-    triples, xi_max = coeff.identity_triples(cfg.s_max), cfg.s_max + 2
-    res = coeff.unitarity_identity_residuals(triples, xi_max, coeff.forward_count_closed)
+    xi_max = cfg.s_max + 2
+    triples, res = coeff.unitarity_identity_residuals(cfg.s_max, xi_max, coeff.forward_count_closed)
     # each triple is checked for xi <= alpha + beta + gamma + 2
     checked = np.arange(xi_max + 1) <= triples.sum(axis=1, keepdims=True) + 2
     worst = int(np.abs(res[checked]).max())

@@ -171,7 +171,7 @@ _CHUNK = 1 << 12
 
 
 def _identity_table(count: Callable[[int, int, int, int], int], w: int,
-                    xi_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+                    xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every count(m, n, p, q) the identity reads at weight <= w and xi <= xi_max.
 
     For alpha + beta + gamma <= w and 0 <= xi <= X = xi_max, every row the
@@ -186,28 +186,23 @@ def _identity_table(count: Callable[[int, int, int, int], int], w: int,
 
     Hence the window [min(-w - 1, 1 - X), max(X, w)]; for verify's X = w + 2
     that is [-(w + 1), w + 2].  ``count`` is called once on every index of
-    the window.  Returns (tab, row, q_lo): the int64 table has one row per
-    (m, n, p) of weight <= w, ordered by weight, then m, then n, so
-    ``tab[row[m, n, p], q - q_lo] = count(m, n, p, q)``, and ``row`` is -1 off
-    the table.  A count that does not fit in int64 raises ArithmeticError.
+    the window.  Returns (keys, tab, row, q_lo): keys is the (R, 3) int64
+    (m, n, p) of every weight <= w, ordered by weight, then m, then n; the
+    int64 table has one row per key, so ``tab[row[m, n, p], q - q_lo] =
+    count(m, n, p, q)``, and ``row`` is -1 off the table.  A count that does
+    not fit in int64 raises ArithmeticError.
     """
     q_lo, q_hi = min(-w - 1, 1 - xi_max), max(xi_max, w)
-    keys = [(m, n, c - m - n) for c in range(w + 1) for m in range(c + 1) for n in range(c + 1 - m)]
+    keys = np.array([(m, n, c - m - n) for c in range(w + 1) for m in range(c + 1)
+                     for n in range(c + 1 - m)], dtype=np.int64)
     tab = np.zeros((len(keys), q_hi - q_lo + 1), dtype=np.int64)
     row = np.full((w + 1,) * 3, -1)
-    for i, (m, n, p) in enumerate(keys):
+    for i, (m, n, p) in enumerate(keys.tolist()):
         vals = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
         if max(map(abs, vals)) >= 2 ** 63:
             raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
         tab[i], row[m, n, p] = vals, i
-    return tab, row, q_lo
-
-
-def identity_triples(w_max: int) -> np.ndarray:
-    """Every (alpha, beta, gamma) >= 0 with alpha + beta + gamma <= w_max, one per row, in order."""
-    return np.array([(alpha, beta, gamma) for alpha in range(w_max + 1)
-                     for beta in range(w_max + 1 - alpha)
-                     for gamma in range(w_max + 1 - alpha - beta)], dtype=np.int64).reshape(-1, 3)
+    return keys, tab, row, q_lo
 
 
 def _spread(state: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -272,29 +267,28 @@ def _pairs(tab: np.ndarray, weight: np.ndarray, q_lo: int,
     return lvec, rvec, li, rrows[r]
 
 
-def unitarity_identity_residuals(triples, xi_max: int,
-                                 count: Callable[[int, int, int, int], int]) -> np.ndarray:
-    """Residuals of the unitarity coefficient identity, exact, for xi = 0..xi_max.
+def unitarity_identity_residuals(w: int, xi_max: int, count: Callable[[int, int, int, int], int]
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the unitarity coefficient identity, exact, at every weight <= w.
 
-    Row i holds the residuals of triples[i] = (alpha, beta, gamma) for the
-    forward counts ``count``, tabulated once per call on every index the
-    identity reads (see :func:`_identity_table`).  One pass evaluates every
-    triple of weight <= the largest selected weight, one per row of the
-    table, and the selected rows are gathered at the end.  The triple sum is
-    enumerated per triple; the 5-fold sum per (left row, right row) pair of
-    nonzero read windows (see :func:`_pairs`), which with m2 and n1 fixes one
-    term of one triple.  Both are expanded in fixed-size chunks by repeat
-    expansions, and each chunk's terms are added per triple as one segment.
-    Every partial sum is bounded in float64 first; a bound of 2**62 or more
-    raises ArithmeticError rather than let int64 wrap.
+    Returns (triples, residuals): the (R, 3) int64 (alpha, beta, gamma) of
+    every alpha + beta + gamma <= w, by weight, then alpha, then beta, the
+    order of the table's rows (see :func:`_identity_table`), and the
+    (R, xi_max + 1) int64 residuals of each for xi = 0..xi_max and the forward
+    counts ``count``, tabulated once per call on every index the identity
+    reads.  The triple sum is enumerated per triple; the 5-fold sum per
+    (left row, right row) pair of nonzero read windows (see :func:`_pairs`),
+    which with m2 and n1 fixes one term of one triple.  Both are expanded in
+    fixed-size chunks by repeat expansions, and each chunk's terms are added
+    per triple as one segment.  Every partial sum is bounded in float64
+    first; a bound of 2**62 or more raises ArithmeticError rather than let
+    int64 wrap.
     """
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    if xi_max < 0 or (triples < 0).any():
+    if w < 0 or xi_max < 0:
         raise ValueError("indices must be >= 0")
-    w, X = int(triples.sum(axis=1).max(initial=0)), xi_max
-    tab, row, q_lo = _identity_table(count, w, X)
-    keys = np.array(np.unravel_index(np.argsort(row, axis=None)[row.size - len(tab):], row.shape))
-    alpha, beta, gamma = keys  # of each row of tab
+    X = xi_max
+    triples, tab, row, q_lo = _identity_table(count, w, X)
+    alpha, beta, gamma = keys = triples.T
     span = np.arange(X + 1)
     comb = np.array([[math.comb(n, k) for k in range(w + 1)] for n in range(w + 1)], dtype=np.int64)
     rowmax = np.abs(tab.astype(float)).max(axis=1)
@@ -345,7 +339,7 @@ def unitarity_identity_residuals(triples, xi_max: int,
 
     out[first, np.minimum(alpha + 1, X)[first]] -= 1
     out[second, np.minimum(alpha, X)[second]] -= second_c[second]
-    return out[row[tuple(triples.T)]]
+    return triples, out
 
 
 def unitarity_identity_residual(
@@ -361,9 +355,12 @@ def unitarity_identity_residual(
     power index xi, a multi-sum of forward counts and binomials that must
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
     ``forward_count`` hook, :func:`forward_count_closed` when None, exists so
-    tests can inject a corrupted table as a negative control.  This is a
-    one-triple call of :func:`unitarity_identity_residuals`, so it evaluates
-    every triple of weight <= alpha + beta + gamma and returns one entry.
+    tests can inject a corrupted table as a negative control.  This runs the
+    pass of :func:`unitarity_identity_residuals` at weight alpha + beta +
+    gamma, so it evaluates every triple up to that weight and returns one entry.
     """
-    count = forward_count or forward_count_closed
-    return int(unitarity_identity_residuals([(alpha, beta, gamma)], xi, count)[0, xi])
+    if min(alpha, beta, gamma, xi) < 0:
+        raise ValueError("indices must be >= 0")
+    triples, res = unitarity_identity_residuals(alpha + beta + gamma, xi,
+                                                forward_count or forward_count_closed)
+    return int(res[(triples == (alpha, beta, gamma)).all(axis=1), xi][0])

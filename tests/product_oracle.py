@@ -80,3 +80,48 @@ def product_columns(n: int, iv: Interval, nu: ComplexParam, cols: Sequence[int])
             a = acc[-1]
         u[r] = a
     return u[::-1].astype(complex)
+
+
+# Largest per-step angle the Jacobi form of anticausal_column accepts: past it the Jacobi
+# polynomials can outgrow float64 before c^e scales them down (at n = 4096 they overflow
+# from angle 1.0; at 0.6 the form is within 2.4e-15 of apply_product).
+_JACOBI_MAX_ANGLE = 0.6
+
+
+def anticausal_column(n: int, iv: Interval, nu: ComplexParam, k: int) -> np.ndarray:
+    """Entries W[j, k] of the product for j = k+1..n-1 (0-based), below the diagonal.
+
+    The anticausal entries are Jacobi polynomials: with beta = n-1-j,
+    d = min(k, beta), e = |beta - k| and t = sin^2(theta),
+    W[j, k] = lo c^e P_d^(0,e)(1 - 2t), where c = cos(theta) and lo is the
+    factor's lower entry (DLMF 18.5).  P_d is taken from P_0 = 1 and
+    P_1 = 1 - (e+2) t by the three-term recurrence in degree (DLMF 18.9),
+    written in t and carried as differences D_m = P_m - P_(m-1), which keeps
+    the digits that the plain recurrence loses as t -> 0: with a = 2m + e,
+    D_(m+1) = (2m(m+e)(a+2) D_m - 2(a+1)(a+2) a t P_m) / (2(m+1)(m+e+1) a).
+    All rows run at once, each stopping at its own degree d.  This shares no
+    code with the product's sweeps: O(n) work per entry, no product at all.
+    Per-step angles above _JACOBI_MAX_ANGLE raise ValueError.
+    """
+    if not 0 <= k < n:
+        raise ValueError(f"column must lie in [0, {n}), got {k}")
+    if nu.modulus == 0.0:
+        return np.zeros(n - 1 - k, dtype=complex)
+    theta = iv.width * nu.modulus / n
+    if theta > _JACOBI_MAX_ANGLE:
+        raise ValueError(f"per-step angle {theta} exceeds {_JACOBI_MAX_ANGLE}")
+    c, s = math.cos(theta), math.sin(theta)
+    t = s * s
+    beta = np.arange(n - 2 - k, -1, -1)  # rows j = k+1..n-1
+    d = np.minimum(k, beta)
+    e = np.abs(beta - k).astype(float)
+    p = np.where(d > 0, 1.0 - (e + 2) * t, 1.0)  # P_min(d, 1)
+    diff = -(e + 2) * t  # D_1
+    for m in range(1, int(d.max(initial=0))):
+        live = d > m
+        el = e[live]
+        a = 2 * m + el
+        diff[live] = (2 * m * (m + el) * (a + 2) * diff[live]
+                      - 2 * (a + 1) * (a + 2) * a * t * p[live]) / (2 * (m + 1) * (m + el + 1) * a)
+        p[live] += diff[live]
+    return nu.value / nu.modulus * s * c ** e * p

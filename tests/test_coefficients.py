@@ -12,7 +12,6 @@ from causalprod.coefficients import (
     causal_series,
     forward_count_brute,
     forward_count_closed,
-    identity_triples,
     reversed_count_brute,
     reversed_count_closed,
     truncated_kernel,
@@ -164,17 +163,25 @@ IDENTITY_CORRUPTIONS = [(1, 0, 1, 1), (0, 0, 0, -5), (0, 8, 0, 10), (0, 0, 0, -8
 
 
 def test_identity_triples_order():
-    triples = identity_triples(8)
-    assert len(triples) == 165 and triples.sum(axis=1).max() == 8
-    assert [tuple(t) for t in triples] == sorted(map(tuple, triples))
-    assert identity_triples(0).tolist() == [[0, 0, 0]]
+    triples, res = unitarity_identity_residuals(8, 10, forward_count_closed)
+    assert triples.dtype == res.dtype == np.int64 and res.shape == (165, 11)
+    keys = [tuple(t) for t in triples.tolist()]
+    assert len(set(keys)) == 165 and triples.min() == 0 and triples.sum(axis=1).max() == 8
+    assert keys == sorted(keys, key=lambda t: (sum(t), t))
+    assert unitarity_identity_residuals(0, 2, forward_count_closed)[0].tolist() == [[0, 0, 0]]
+
+
+def test_identity_pass_rejects_negative_weight_or_xi():
+    with pytest.raises(ValueError):
+        unitarity_identity_residuals(-1, 2, forward_count_closed)
+    with pytest.raises(ValueError):
+        unitarity_identity_residuals(2, -1, forward_count_closed)
 
 
 @pytest.mark.parametrize("at", [None, *IDENTITY_CORRUPTIONS])
 def test_identity_batched_matches_slow_oracle(at):
     count = forward_count_closed if at is None else corrupted_count(at)
-    triples = identity_triples(8)
-    fast = unitarity_identity_residuals(triples, 10, count)
+    triples, fast = unitarity_identity_residuals(8, 10, count)
     assert fast.shape == (len(triples), 11)
     for (alpha, beta, gamma), row in zip(triples.tolist(), fast.tolist()):
         assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
@@ -186,32 +193,18 @@ def test_identity_batched_matches_slow_oracle(at):
 def test_identity_scalar_matches_slow_oracle(at):
     hook = None if at is None else corrupted_count(at)
     count = hook or forward_count_closed
-    for alpha, beta, gamma in identity_triples(4).tolist():
+    for alpha, beta, gamma in unitarity_identity_residuals(4, 0, count)[0].tolist():
         for xi in range(9):
             assert unitarity_identity_residual(alpha, beta, gamma, xi, hook) == \
                 unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
 
 
-def test_identity_selection_gathers_rows_of_the_full_pass():
-    """A shuffled selection with repeats reads its rows of the full pass; none reads none."""
-    count = corrupted_count((1, 0, 1, 1))
-    triples = identity_triples(8)
-    full = unitarity_identity_residuals(triples, 10, count)
-    pick = np.random.default_rng(0).permutation(np.r_[np.arange(0, 165, 7), [3, 3, 40, 90, 40]])
-    chosen = unitarity_identity_residuals(triples[pick], 10, count)
-    assert np.array_equal(chosen, full[pick]) and chosen.any()
-    for (alpha, beta, gamma), row in zip(triples[pick].tolist(), chosen.tolist()):
-        assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
-                       for xi in range(11)]
-    assert unitarity_identity_residuals(np.empty((0, 3), dtype=int), 10, count).shape == (0, 11)
-
-
 def test_identity_pass_memory_at_the_cap():
     """At verify's cap the pass holds under 8 MB of Python and numpy memory at its peak."""
-    triples = identity_triples(VERIFY_IDENTITY_CAP)
     tracemalloc.start()
     try:
-        unitarity_identity_residuals(triples, VERIFY_IDENTITY_CAP + 2, forward_count_closed)
+        unitarity_identity_residuals(VERIFY_IDENTITY_CAP, VERIFY_IDENTITY_CAP + 2,
+                                     forward_count_closed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,21 +220,22 @@ def test_identity_tabulates_each_count_once_per_call():
         return forward_count_closed(m, n, p, q)
 
     # w = 6 and X = 8: q in [min(-w - 1, 1 - X), max(X, w)] = [-7, 8]
-    window = Counter((m, n, p, q) for m, n, p in identity_triples(6).tolist() for q in range(-7, 9))
-    assert len(window) == 1344
-    first = unitarity_identity_residuals(identity_triples(6), 8, spy)
-    assert calls == window
-    second = unitarity_identity_residuals(identity_triples(6), 8, spy)
+    triples, first = unitarity_identity_residuals(6, 8, spy)
+    window = Counter((m, n, p, q) for m, n, p in triples.tolist() for q in range(-7, 9))
+    assert len(window) == 1344 and calls == window
+    second = unitarity_identity_residuals(6, 8, spy)[1]
     assert calls == window + window
     assert np.array_equal(first, second) and not first.any()
 
 
 def test_identity_table_has_one_row_per_triple_by_weight():
-    tab, row, q_lo = _identity_table(forward_count_closed, 6, 8)
-    keys = sorted(map(tuple, identity_triples(6).tolist()), key=sum)  # by weight, then m, then n
+    keys, tab, row, q_lo = _identity_table(forward_count_closed, 6, 8)
+    triples = unitarity_identity_residuals(6, 8, forward_count_closed)[0]
+    assert np.array_equal(keys, triples)
     assert tab.shape == (84, 16) and q_lo == -7 and (row >= 0).sum() == 84
-    assert row[tuple(np.array(keys).T)].tolist() == list(range(84))
-    assert tab.tolist() == [[forward_count_closed(*k, q) for q in range(-7, 9)] for k in keys]
+    assert row[tuple(keys.T)].tolist() == list(range(84))
+    assert tab.tolist() == [[forward_count_closed(*k, q) for q in range(-7, 9)]
+                            for k in keys.tolist()]
 
 
 def _count_with(at, value):
@@ -254,22 +248,22 @@ def test_identity_overflow_guard_refuses():
     """A count of 2**61 lifts the bound on the int64 sums to 2**62: refused, never wrapped."""
     count = _count_with((1, 0, 1, 1), 2 ** 61)
     with pytest.raises(ArithmeticError):
-        unitarity_identity_residuals(identity_triples(6), 8, count)
+        unitarity_identity_residuals(6, 8, count)
     with pytest.raises(ArithmeticError):
         unitarity_identity_residual(2, 0, 2, 3, count)
     with pytest.raises(ArithmeticError):  # does not fit in int64 at all
-        unitarity_identity_residuals(identity_triples(2), 4, _count_with((1, 0, 1, 1), 2 ** 63))
+        unitarity_identity_residuals(2, 4, _count_with((1, 0, 1, 1), 2 ** 63))
     with pytest.raises(ArithmeticError):  # read only as the right-hand factor of the 5-fold sum
-        unitarity_identity_residuals(identity_triples(6), 8, _count_with((0, 0, 0, -5), 2 ** 61))
+        unitarity_identity_residuals(6, 8, _count_with((0, 0, 0, -5), 2 ** 61))
     # far below the bound the same corruptions are residuals like any other
     count = _count_with((1, 0, 1, 1), 2 ** 40)
     assert unitarity_identity_residual(2, 0, 2, 3, count) == \
         unitarity_identity_residual_slow(2, 0, 2, 3, count) != 0
     count = _count_with((0, 0, 0, -5), 2 ** 40)
-    res = unitarity_identity_residuals(identity_triples(6), 8, count)
+    triples, res = unitarity_identity_residuals(6, 8, count)
     assert res.any() and res.tolist() == [
         [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count) for xi in range(9)]
-        for alpha, beta, gamma in identity_triples(6).tolist()]
+        for alpha, beta, gamma in triples.tolist()]
 
 
 def test_isometry_series_oracle_exact():

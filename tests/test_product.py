@@ -21,7 +21,7 @@ from causalprod.product import (
     midpoints,
 )
 from kernel_oracle import limit_bilinear_form_slow
-from product_oracle import product_columns
+from product_oracle import anticausal_column, product_columns
 from unitarity import unitarity_defect
 
 IV = Interval(0.0, 1.0)
@@ -423,6 +423,63 @@ def test_apply_product_validation():
     with pytest.raises(ValueError):
         apply_product(4097, IV, NU, np.ones(4097))
     assert apply_product(10, IV, NU, np.zeros((10, 0))).shape == (10, 0)
+
+
+def _int_sweep(n, c, up, lo):
+    """apply_product's row sweep on the reversed n x n identity block, over Python ints.
+
+    Sweep r has accumulator row r and steps through rows 0..r-1; each step
+    maps (a, v) to (c a + up v, lo a + c v).  Returns the rows in that
+    reversed order, which is the transpose of _grouped_sweep's state.
+    """
+    rows = [np.array([int(i == n - 1 - t) for i in range(n)], dtype=object) for t in range(n)]
+    for r in range(1, n):
+        a = rows[r]
+        for t in range(r):
+            a, rows[t] = c * a + up * rows[t], lo * a + c * rows[t]
+        rows[r] = a
+    return np.array(rows)
+
+
+# With integer (c, up, lo) and lo = +-1 the sweep is a polynomial whose every float
+# operation is exact while the entries stay below 2**53 (up to n = 40 at c = 1, n = 20
+# at c = 2), so the tiles, the lead and D are checked at zero tolerance.
+@pytest.mark.parametrize("c, up, lo, n_max", [(1, 1, -1, 40), (1, -1, 1, 40), (1, 2, -1, 40),
+                                              (2, 1, 1, 20)])
+def test_grouped_sweep_is_exact_at_integer_factors(c, up, lo, n_max):
+    for n in range(2, n_max + 1):
+        exact = _int_sweep(n, c, up, lo)
+        assert max(abs(int(x)) for x in exact.flat) < 2 ** 53
+        u = np.eye(n, dtype=complex)[::-1].T.copy()
+        product._grouped_sweep(u, float(c), complex(up), complex(lo))
+        assert np.array_equal(u.T, exact.astype(complex)), n
+
+
+# Below the diagonal, W is a Jacobi polynomial per entry (product_oracle.anticausal_column)
+@pytest.mark.parametrize("n", [5, 17, 64, 200])
+def test_anticausal_entries_match_the_jacobi_form(n):
+    w = double_product(n, IV, NU)
+    for k in range(n - 1):
+        assert np.max(np.abs(anticausal_column(n, IV, NU, k) - w[k + 1:, k])) < 1e-13, k
+
+
+@pytest.mark.parametrize("nu", [NU, ComplexParam(3.0, -4.0), ComplexParam(9.0, 12.0),
+                                ComplexParam(0.0, 0.6 * 4096 / IV.width)],
+                         ids=["1+0.5i", "3-4i", "9+12i", "angle0.6"])
+def test_apply_product_anticausal_entries_match_the_jacobi_form(nu):
+    n, cols = 4096, [0, 1, 2047, 4000]
+    fast = apply_product(n, IV, nu, _units(n, cols))
+    for i, k in enumerate(cols):
+        assert np.max(np.abs(anticausal_column(n, IV, nu, k) - fast[k + 1:, i])) < 1e-13, k
+
+
+def test_anticausal_column_validation():
+    assert np.array_equal(anticausal_column(6, IV, ComplexParam(0.0, 0.0), 2), np.zeros(3))
+    assert anticausal_column(6, IV, NU, 5).shape == (0,)
+    with pytest.raises(ValueError):
+        anticausal_column(6, IV, NU, 6)
+    with pytest.raises(ValueError):  # past angle 0.6 the Jacobi polynomials outgrow float64
+        anticausal_column(10, IV, ComplexParam(0.0, 6.1), 0)
 
 
 # The per-sweep scan in product_oracle is the slow oracle for apply_product
