@@ -1,22 +1,20 @@
 """Command-line front end: coefficient tables, identity checks, studies, kernel grids.
 
-All artifacts are deterministic functions of the flags: CSV with LF line
-endings, JSON with sorted keys and a top-level ``"schema": 1`` field.  Complex
-values are always split into re/im columns.  Exit status is 0 iff every check
-of the invoked command passed at the configured tolerance, 1 when a check
-failed or a value could not be computed (an ArithmeticError), and 2 when the
-arguments or RunConfig, which holds each command's limits, refuse the run or the
-artifact cannot be written.  Every non-zero exit prints one stderr line; a
+``causalprod <command> --flag value ...`` (or ``--flag=value``) runs one command; ``-h`` or
+``--help`` prints its flags.  All artifacts are deterministic functions of the flags: CSV with LF
+line endings, JSON with sorted keys and a top-level ``"schema": 1`` field.  Complex values are
+always split into re/im columns.  Exit status is 0 iff every check of the invoked command passed
+at the configured tolerance, 1 when a check failed or a value could not be computed (an
+ArithmeticError), and 2 when the arguments or RunConfig, which holds each command's limits,
+refuse the run or the artifact cannot be written.  Every non-zero exit prints one stderr line; a
 failed check prints it after the artifact, naming what failed.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import math
-import re
 import sys
 from typing import NoReturn, Sequence
 
@@ -178,69 +176,84 @@ def cmd_kernel(cfg: RunConfig) -> int:
     return _emit(cfg, headers, rows, extra, ())
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one stderr line and exit status 2.
-
-    It reads a negative number in exponent form (``--lambda -1e-3``) as a value,
-    as argparse reads ``-1`` and ``-0.5``.  Subparsers are built with the class
-    of their parent, so they inherit both.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(2, f"invalid arguments: {message}\n")
+def _format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(text)
+    return text
 
 
-_FLAGS = {"--a": {"type": float}, "--b": {"type": float},
-          "--lambda": {"dest": "lam", "type": float}, "--mu": {"type": float},
-          "--n": {"type": int}, "--n-list": {"help": "comma-separated product sizes"},
-          "--s-max": {"type": int}, "--tol": {"type": float},
-          "--format": {"dest": "fmt", "choices": ("csv", "json")}, "--out": {}}
-_NU = ("--a", "--b", "--lambda", "--mu")
-# each command with its help and the flags it reads, besides --format and --out
+# each flag with the RunConfig field it sets, the conversion of its value and that value's name
+_FLAGS = {"--a": ("a", float, "FLOAT"), "--b": ("b", float, "FLOAT"),
+          "--lambda": ("lam", float, "FLOAT"), "--mu": ("mu", float, "FLOAT"),
+          "--n": ("n", int, "INT"), "--n-list": ("n_list", str, "N1,N2,..."),
+          "--s-max": ("s_max", int, "INT"), "--tol": ("tol", float, "FLOAT"),
+          "--format": ("fmt", _format, "{csv,json}"), "--out": ("out", str, "PATH")}
+_NU, _IO = ("--a", "--b", "--lambda", "--mu"), ("--format", "--out")
+# each command with its help and the flags it reads
 _COMMANDS = {
-    "coeffs": (cmd_coeffs, "closed-form vs brute-force coefficient tables", ("--s-max",)),
-    "verify": (cmd_verify, "run all identity checks", (*_NU, "--s-max", "--tol")),
-    "converge": (cmd_converge, "product-to-kernel convergence study", (*_NU, "--n-list")),
-    "kernel": (cmd_kernel, "kernel values on a grid", (*_NU, "--n", "--s-max")),
+    "coeffs": (cmd_coeffs, "closed-form vs brute-force coefficient tables", ("--s-max", *_IO)),
+    "verify": (cmd_verify, "run all identity checks", (*_NU, "--s-max", "--tol", *_IO)),
+    "converge": (cmd_converge, "product-to-kernel convergence study", (*_NU, "--n-list", *_IO)),
+    "kernel": (cmd_kernel, "kernel values on a grid", (*_NU, "--n", "--s-max", *_IO)),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="causalprod",
-        description="Verification lab for causal rotation products and their limit kernel.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, flags) in _COMMANDS.items():
-        # an absent flag stays off the namespace, so RunConfig supplies its default
-        cmd = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
-        for flag in (*flags, "--format", "--out"):
-            cmd.add_argument(flag, **_FLAGS[flag])
-    return parser
+def _refuse(message: str) -> NoReturn:
+    sys.stderr.write(f"invalid arguments: {message}\n")
+    raise SystemExit(2)
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig of the parsed command and its flags; the rest keep RunConfig's defaults."""
-    fields = dict(vars(args))
-    if "n_list" in fields:
-        fields["n_list"] = parse_sizes(fields["n_list"])
-    return RunConfig(**fields)
+def _help(command: str | None) -> NoReturn:
+    if command is None:
+        about = "Verification lab for causal rotation products and their limit kernel."
+        rows = [f"{name:<10}{text}" for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        about = f"{_COMMANDS[command][1]}; a VALUE is the token after its FLAG, or FLAG=VALUE"
+        rows = ["-h, --help", *(f"{flag} {_FLAGS[flag][2]}" for flag in _COMMANDS[command][2])]
+    sys.stdout.write(f"usage: causalprod {command or '<command>'} [-h] [FLAG VALUE ...]\n\n"
+                     f"{about}\n\n" + "".join(f"  {row}\n" for row in rows))
+    raise SystemExit(0)
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, dict]:
+    """The command and the RunConfig fields its flags set, each at its last value; or SystemExit."""
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        _refuse(f"need a command ({', '.join(_COMMANDS)}), got {command!r}")
+    if "-h" in tokens or "--help" in tokens:
+        _help(command)
+    fields = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in _COMMANDS[command][2]:
+            _refuse(f"{command} reads no flag {flag!r}")
+        # the value is the next token as written, so --lambda -1e-3 means --lambda=-1e-3
+        if not eq and (value := next(tokens, "--")).startswith("--"):
+            _refuse(f"{flag} needs a value")
+        field, convert, kind = _FLAGS[flag]
+        try:
+            fields[field] = convert(value)
+        except ValueError:
+            _refuse(f"{flag} needs {kind}, got {value!r}")
+    return command, fields
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, fields = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = config_from_args(args)
+        if "n_list" in fields:
+            fields["n_list"] = parse_sizes(fields["n_list"])
+        cfg = RunConfig(command, **fields)
     except ValueError as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 2
     try:
         # an overflowing or invalid float operation fails the check (FloatingPointError)
         with np.errstate(over="raise", invalid="raise"):
-            return _COMMANDS[args.command][0](cfg)
+            return _COMMANDS[command][0](cfg)
     except ArithmeticError as exc:  # a series or estimate that cannot be computed
         sys.stderr.write(f"check failed: {exc}\n")
         return 1

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +521,83 @@ def test_unread_flags_are_argument_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("invalid arguments:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--s-max", "3"], "--s-max"),
+    (["converge", "--n-list", "4,8"], "--n-list"),
+    (["converge", "--n-list", "4,8", "--lambda", "-1e-3"], "--lambda"),
+    (["coeffs", "--s-max", "2"], "--out"),
+])
+def test_flag_value_and_flag_equals_value_agree(tmp_path, argv, flag):
+    at = argv.index(flag) if flag in argv else None
+    spaced = [*argv, "--out", str(tmp_path / "spaced.json")]
+    joined = [*argv, f"--out={tmp_path / 'joined.json'}"]
+    if at is not None:
+        joined[at:at + 2] = [f"{flag}={argv[at + 1]}"]
+    assert _run(spaced) == 0 and _run(joined) == 0
+    assert (tmp_path / "spaced.json").read_bytes() == (tmp_path / "joined.json").read_bytes()
+
+
+def test_repeated_flag_keeps_its_last_value(tmp_path):
+    out = tmp_path / "r.json"
+    # --s-max 30 alone is past verify's cap, and csv alone would not be JSON
+    assert _run(["verify", "--s-max", "30", "--format", "csv", "--s-max=2", "--format", "json",
+                 "--out", str(tmp_path / "unused.json"), "--out", str(out)]) == 0
+    assert _read_json(out)["config"]["s_max"] == 2
+    assert not (tmp_path / "unused.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol"],
+    ["verify", "--out", "--s-max", "3"],
+    ["bogus"],
+    ["coeffs", "--format", "xml"],
+    # flags are spelled in full: no prefix stands for --lambda
+    ["verify", "--lam", "1"],
+])
+def test_malformed_arguments_write_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_names_every_command(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        _run([flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: causalprod") and err == ""
+    assert all(command in out for command in ("coeffs", "verify", "converge", "kernel"))
+
+
+# Runs in a fresh interpreter, since pytest imports argparse itself: after each command, the
+# argument-parsing modules that a cold command should not pay for are not loaded.
+COLD_START = """
+import json, sys
+from causalprod import cli
+for argv in json.loads(sys.argv[1]):
+    status = cli.main(argv)
+    print(json.dumps([status, sorted({"argparse", "gettext", "locale"} & set(sys.modules))]))
+"""
+
+
+def test_commands_do_not_import_argument_parsing_modules(tmp_path):
+    argvs = [["coeffs", "--s-max", "2"], ["verify", "--s-max", "2"],
+             ["converge", "--n-list", "4,8"], ["kernel", "--n", "2", "--s-max", "1"]]
+    argvs = [[*argv, "--out", str(tmp_path / f"{argv[0]}.json")] for argv in argvs]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [[0, []]] * len(argvs)
 
 
 def test_run_config_validation():
