@@ -217,20 +217,20 @@ def _help(command: str | None) -> NoReturn:
 
 def _parse(argv: Sequence[str]) -> tuple[str, dict]:
     """The command and the RunConfig fields its flags set, each at its last value; or SystemExit."""
-    command, *tokens = argv or [""]
+    command, *rest = argv or [""]
     if command in ("-h", "--help"):
         _help(None)
     if command not in _COMMANDS:
         _refuse(f"need a command ({', '.join(_COMMANDS)}), got {command!r}")
-    if "-h" in tokens or "--help" in tokens:
+    if "-h" in rest or "--help" in rest:
         _help(command)
     fields = {}
-    tokens = iter(tokens)
+    tokens = iter(rest)
     for token in tokens:
         flag, eq, value = token.partition("=")
         if flag not in _COMMANDS[command][2]:
             _refuse(f"{command} reads no flag {flag!r}")
-        # the value is the next token as written, so --lambda -1e-3 means --lambda=-1e-3
+        # the value is the next token as written (none reads as "--"): --lambda -1e-3 is negative
         if not eq and (value := next(tokens, "--")).startswith("--"):
             _refuse(f"{flag} needs a value")
         field, convert, kind = _FLAGS[flag]
