@@ -54,7 +54,7 @@ def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict,
     else:
         payload = {"schema": SCHEMA_VERSION, **extra, "rows": rows}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not cfg.out:
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
         try:

@@ -12,6 +12,8 @@ import pytest
 from causalprod import cli
 from causalprod.config import KERNEL_GRID_CAP, VERIFY_IDENTITY_CAP, RunConfig
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _run(argv):
     return cli.main(argv)
@@ -236,6 +238,19 @@ def test_converge_artifact(tmp_path):
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("lam, mu, low, high", [
+    # for real nu the O(1/N) error term vanishes and the midpoint error falls like 1/N^2
+    ("1", "0", 1.8, 2.2),
+    ("1", "0.5", 0.9, 1.1),
+    ("0", "1", 0.9, 1.1),
+], ids=["real", "mixed", "imaginary"])
+def test_converge_rate_by_parameter(tmp_path, lam, mu, low, high):
+    out = tmp_path / "study.json"
+    assert _run(["converge", "--lambda", lam, "--mu", mu, "--n-list", "64,128,256",
+                 "--out", str(out)]) == 0
+    assert low <= _read_json(out)["fitted_rate"] <= high
+
+
 @pytest.mark.parametrize("s", [1e3, 1e-3])
 def test_converge_fence_is_scale_free(tmp_path, s):
     # max_error is an entry of (W - I) n/(b - a); under nu -> s nu, (a, b) ->
@@ -298,6 +313,7 @@ def test_converge_validation(tmp_path, capsys):
     ["--n-list", "1_0,20"],
     ["--n-list", "+4,20"],
     ["--n-list", " 4,20"],
+    ["--n-list", "8,4"],
 ])
 def test_converge_invalid_input_refused(tmp_path, capsys, args):
     assert _run(["converge", *args, "--out", str(tmp_path / "s.json")]) == 2
@@ -422,12 +438,14 @@ def test_non_finite_values_are_never_written(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_unwritable_out_refused_in_one_line(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.json"
-    assert _run(["coeffs", "--s-max", "2", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("cannot write artifact:") and err.count("\n") == 1
-    assert not out.exists()
+@pytest.mark.parametrize("out", ["missing/x.json", ""], ids=["missing_dir", "empty"])
+def test_unwritable_out_refused_in_one_line(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["coeffs", "--s-max", "2", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write artifact:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_grid(tmp_path):
@@ -576,6 +594,13 @@ def test_top_level_help_names_every_command(capsys, flag):
     assert all(command in out for command in ("coeffs", "verify", "converge", "kernel"))
 
 
+def _env_with_src():
+    """The environment with the repository's src first on PYTHONPATH, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 # Runs in a fresh interpreter, since pytest imports argparse itself: after each command, the
 # argument-parsing modules that a cold command should not pay for are not loaded.
 COLD_START = """
@@ -591,13 +616,24 @@ def test_commands_do_not_import_argument_parsing_modules(tmp_path):
     argvs = [["coeffs", "--s-max", "2"], ["verify", "--s-max", "2"],
              ["converge", "--n-list", "4,8"], ["kernel", "--n", "2", "--s-max", "1"]]
     argvs = [[*argv, "--out", str(tmp_path / f"{argv[0]}.json")] for argv in argvs]
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env_with_src(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [json.loads(line) for line in proc.stdout.splitlines()] == [[0, []]] * len(argvs)
+
+
+def test_readme_commands_run(tmp_path):
+    """Each `causalprod ...` line of README's command block runs through the module entry point."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n")[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("causalprod ")]
+    assert len(commands) == 4
+    env = _env_with_src()
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-m", "causalprod.cli", *args], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert (tmp_path / args[args.index("--out") + 1]).stat().st_size > 0
 
 
 def test_run_config_validation():
