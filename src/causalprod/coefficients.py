@@ -193,8 +193,7 @@ def _identity_table(count: Callable[[int, int, int, int], int], w: int,
     not fit in int64 raises ArithmeticError.
     """
     q_lo, q_hi = min(-w - 1, 1 - xi_max), max(xi_max, w)
-    keys = np.array([(m, n, c - m - n) for c in range(w + 1) for m in range(c + 1)
-                     for n in range(c + 1 - m)], dtype=np.int64)
+    keys = np.array([t for c in range(w + 1) for t in degree_terms(c + 1)], dtype=np.int64)
     tab = np.zeros((len(keys), q_hi - q_lo + 1), dtype=np.int64)
     row = np.full((w + 1,) * 3, -1)
     for i, (m, n, p) in enumerate(keys.tolist()):

@@ -210,6 +210,7 @@ def test_verify_cap_refusal(tmp_path, capsys):
     (["kernel", "--s-max", "41"], 40),
     (["converge", "--n-list", "10,4097"], 4096),
     (["kernel", "--n", "129", "--s-max", "0"], 128),
+    (["kernel", "--n", "0", "--s-max", "0"], 1),
 ])
 def test_each_command_refuses_one_past_its_limit(tmp_path, capsys, argv, cap):
     out = tmp_path / "a.json"
@@ -398,6 +399,14 @@ def test_converge_non_finite_estimate_fails(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("check failed:") and err.count("\n") == 1
     assert not (tmp_path / "s.json").exists()
+
+
+def test_verify_non_finite_residual_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.ker, "isometry_residual", lambda *args: np.nan)
+    out = tmp_path / "r.json"
+    assert _run(["verify", "--s-max", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "check failed: a reported value is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

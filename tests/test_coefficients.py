@@ -112,6 +112,14 @@ def test_brute_bounds():
         reversed_count_brute(0, 8, 0, 4)  # degree 9, past COEFF_TABLE_CAP
     with pytest.raises(ValueError):
         reversed_count_brute(-1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        forward_count_closed(-1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        reversed_count_closed(0, -1, 0, 0)
+    with pytest.raises(ValueError, match="need degree s >= 1"):
+        causal_series(0)
+    with pytest.raises(ValueError, match="need degree s >= 1"):
+        anticausal_series(0)
 
 
 def test_series_slices_match_frozen_tables():

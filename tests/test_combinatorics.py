@@ -41,6 +41,10 @@ def test_catalan_general_values():
     assert catalan_general(2, 2, 1) == 5
 
 
+def test_catalan_general_is_zero_for_negative_total():
+    assert catalan_general(-2, 1, 0) == 0  # m + n < 0
+
+
 def test_catalan_diagonal_is_classical():
     for n in range(13):
         assert catalan_general(n, n, 0) == CATALAN[n]

@@ -4,8 +4,9 @@ A refactor that moves the last caller off a helper (``_name`` at module level:
 a function, class or assigned constant) must delete the helper too.  A name
 counts as used when it is read, as a bare name or as an attribute, anywhere in
 ``src/causalprod`` besides its own definition; tests do not count.  Likewise a
-name imported at module level must be read as a bare name in its own module,
-except in ``__init__.py``, whose imports are the package's exports.
+name imported at module level must be read as a bare name in its own module.
+The package root binds no names: each is imported from the module that
+defines it, as in ``from causalprod.kernel import limit_kernel``.
 """
 import ast
 from pathlib import Path
@@ -57,5 +58,10 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 
 def test_module_level_imports_are_read_in_their_module():
     unread = {module: names for module, tree in TREES.items()
-              if module != "__init__.py" and (names := _unread_imports(tree))}
+              if (names := _unread_imports(tree))}
     assert not unread, f"imported but never read: {unread}"
+
+
+def test_package_root_binds_no_names():
+    tree = TREES["__init__.py"]
+    assert ast.get_docstring(tree) and len(tree.body) == 1, "__init__.py holds more than its docstring"

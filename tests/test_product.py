@@ -59,6 +59,7 @@ def test_pair_orderings_allowed():
     assert not bad.is_allowed()
     missing = PairOrdering(4, PairOrdering.row_major(4).pairs[:-1])
     assert not missing.is_allowed()
+    assert not PairOrdering(3, ((1, 3), (1, 2), (2, 3))).is_allowed()  # (1, 3) before (1, 2)
 
 
 def test_random_allowed_deterministic():
@@ -183,6 +184,8 @@ def test_chain_count_matrix_validation():
         chain_count_matrix(10, 4, 2, 2, IV)  # r + r' == s
     with pytest.raises(ValueError):
         chain_count_matrix(10, 12, 1, 1, IV)  # s > n - 1
+    with pytest.raises(ValueError, match="out of range"):
+        chain_count_matrix(10, 3, 4, 0, IV)  # r > s
 
 
 def _chain_midpoint_error(n, s, r, rp):
