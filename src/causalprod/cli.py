@@ -71,22 +71,16 @@ def _emit(cfg: RunConfig, headers: Sequence[str], rows: list[dict], extra: dict,
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     """Closed-form vs brute-force coefficient tables for degrees up to s_max."""
-    rows = []
-    for s in range(1, cfg.s_max + 1):
-        for m, n, p in coeff.degree_terms(s):
-            for q in range(0, s + 1):
-                dc = coeff.forward_count_closed(m, n, p, q)
-                db = coeff.forward_count_brute(m, n, p, q)
-                ec = coeff.reversed_count_closed(m, n, p, q)
-                eb = coeff.reversed_count_brute(m, n, p, q)
-                if max(abs(dc), abs(db), abs(ec), abs(eb)) == 0:
-                    continue
-                match = dc == db and ec == eb
-                rows.append({"m": m, "n": n, "p": p, "q": q,
-                             "D_closed": dc, "D_brute": db,
-                             "E_closed": ec, "E_brute": eb,
-                             "match": int(match)})
+    index = np.array([(m, n, p, q) for s in range(1, cfg.s_max + 1)
+                      for m, n, p in coeff.degree_terms(s) for q in range(s + 1)],
+                     dtype=np.int64).reshape(-1, 4).T
+    cols = np.array([coeff.forward_count_closed(*index), coeff.forward_count_brute(*index),
+                     coeff.reversed_count_closed(*index), coeff.reversed_count_brute(*index)])
+    keep = cols.any(axis=0)
+    match = (cols[0] == cols[1]) & (cols[2] == cols[3])
     headers = ["m", "n", "p", "q", "D_closed", "D_brute", "E_closed", "E_brute", "match"]
+    rows = [dict(zip(headers, vals))
+            for vals in np.vstack([index, cols, match]).T[keep].tolist()]
     bad = [(r["m"], r["n"], r["p"], r["q"]) for r in rows if not r["match"]]
     failed = [f"counts differ in {len(bad)} rows, first (m, n, p, q) = {bad[0]}"] if bad else []
     return _emit(cfg, headers, rows, {"s_max": cfg.s_max, "all_match": not bad}, failed)
@@ -97,9 +91,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     iv, nu = cfg.interval, cfg.param
     rows: list[dict] = []
 
-    failures = sum(not catalan_recurrence_holds(m, n, p)
-                   for m in range(-8, 9) for n in range(9) for p in range(-8, min(m, 8) + 1)
-                   if m + n + p + 1 >= 0)
+    m, n, p = np.mgrid[-8:9, 0:9, -8:9].reshape(3, -1)
+    grid = (p <= m) & (m + n + p + 1 >= 0)
+    failures = int((~catalan_recurrence_holds(m[grid], n[grid], p[grid])).sum())
     rows.append({"name": "catalan_recurrence", "params": "|m|,|n|,|p| <= 8",
                  "residual": float(failures), "tolerance": 0.0, "pass": int(failures == 0)})
 

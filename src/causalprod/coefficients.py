@@ -18,9 +18,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .combinatorics import binomial
+from .combinatorics import pascal
 from .config import COEFF_TABLE_CAP
-from .lattice import enumerate_linear_extensions, enumerate_paths, essential_order
+from .lattice import _refinements, enumerate_paths, essential_order
 
 
 def degree_terms(s: int) -> Iterator[tuple[int, int, int]]:
@@ -30,28 +30,38 @@ def degree_terms(s: int) -> Iterator[tuple[int, int, int]]:
             yield m, n, s - 1 - m - n
 
 
-def forward_count_closed(m: int, n: int, p: int, q: int) -> int:
+def _check_nonnegative(m: np.ndarray, n: np.ndarray, p: np.ndarray) -> None:
+    low = np.minimum(np.minimum(m, n), p) < 0
+    if low.any():
+        i = low.argmax()
+        first = tuple(a.flat[i].item() for a in np.broadcast_arrays(m, n, p))
+        raise ValueError(f"m, n, p must be >= 0, got {first}")
+
+
+def forward_count_closed(m, n, p, q):
     """Closed form for the forward-extension count at rank (m, p), q uppers.
 
     Piecewise in the sign of 2q - (m+n+p): zero below, C(n, q-m) - C(n, q) at
     equality, C(n, q-1) - C(n, q) above.  Total in q via the zero-convention
-    binomial, so out-of-range q simply yields 0.
+    binomial, so out-of-range q simply yields 0.  Broadcasts over int arrays
+    and reads the int64 Pascal table; int arguments give an int.
     """
-    if min(m, n, p) < 0:
-        raise ValueError(f"m, n, p must be >= 0, got {(m, n, p)}")
+    m, n, p, q = map(np.asarray, (m, n, p, q))
+    _check_nonnegative(m, n, p)
     w = m + n + p
-    if 2 * q < w:
-        return 0
-    if 2 * q == w:
-        return binomial(n, q - m) - binomial(n, q)
-    return binomial(n, q - 1) - binomial(n, q)
+    out = np.where(2 * q < w, 0, pascal(n, np.where(2 * q == w, q - m, q - 1)) - pascal(n, q))
+    return out if out.ndim else out.item()
 
 
-def reversed_count_closed(m: int, n: int, p: int, q: int) -> int:
-    """Closed form for the reversed-extension count: 1 iff m == p == q and n == 0."""
-    if min(m, n, p) < 0:
-        raise ValueError(f"m, n, p must be >= 0, got {(m, n, p)}")
-    return 1 if (m == p == q and n == 0) else 0
+def reversed_count_closed(m, n, p, q):
+    """Closed form for the reversed-extension count: 1 iff m == p == q and n == 0.
+
+    Broadcasts over int arrays; int arguments give an int.
+    """
+    m, n, p, q = map(np.asarray, (m, n, p, q))
+    _check_nonnegative(m, n, p)
+    out = ((m == p) & (p == q) & (n == 0)).astype(np.int64)
+    return out if out.ndim else out.item()
 
 
 @lru_cache(maxsize=None)
@@ -59,30 +69,40 @@ def _rank_census(s: int) -> Counter:
     """(q, rank, forward) -> number of linear extensions over all s-vertex paths."""
     census: Counter = Counter()
     for path in enumerate_paths(s):
-        q = path.upper_count
-        for ext in enumerate_linear_extensions(essential_order(path)):
-            census[(q, ext.rank, ext.forward)] += 1
+        q, order = path.upper_count, essential_order(path)
+        for seq in _refinements(order, ties=False):
+            r, last = seq.index(order.first), seq.index(order.last)
+            census[(q, (r, s - last), r < last)] += 1
     return census
 
 
-def _check_brute_bounds(m: int, n: int, p: int) -> None:
-    if min(m, n, p) < 0:
-        raise ValueError(f"m, n, p must be >= 0, got {(m, n, p)}")
-    if m + n + p + 1 > COEFF_TABLE_CAP:
-        raise ValueError(f"degree m+n+p+1={m + n + p + 1} exceeds brute-force cap "
+def _brute_count(m, n, p, q, key: Callable[[int, int, int, int], tuple]):
+    """The census entry key(m, n, p, q) of degree m + n + p + 1, looked up per index."""
+    m, n, p, q = np.broadcast_arrays(*map(np.asarray, (m, n, p, q)))
+    _check_nonnegative(m, n, p)
+    if (m + n + p + 1).max(initial=0) > COEFF_TABLE_CAP:
+        raise ValueError(f"degree m+n+p+1={(m + n + p + 1).max()} exceeds brute-force cap "
                          f"{COEFF_TABLE_CAP}")
+    out = np.array([_rank_census(i + j + k + 1)[key(i, j, k, t)]
+                    for i, j, k, t in zip(*(a.ravel().tolist() for a in (m, n, p, q)))],
+                   dtype=np.int64).reshape(m.shape)
+    return out if out.ndim else out.item()
 
 
-def forward_count_brute(m: int, n: int, p: int, q: int) -> int:
-    """Count forward extensions of rank (m, p) over paths with q upper vertices."""
-    _check_brute_bounds(m, n, p)
-    return _rank_census(m + n + p + 1)[(q, (m, p), True)]
+def forward_count_brute(m, n, p, q):
+    """Count forward extensions of rank (m, p) over paths with q upper vertices.
+
+    Broadcasts over int arrays; int arguments give an int.
+    """
+    return _brute_count(m, n, p, q, lambda m, n, p, q: (q, (m, p), True))
 
 
-def reversed_count_brute(m: int, n: int, p: int, q: int) -> int:
-    """Count reversed extensions of rank (m+n+1, n+p+1) over paths with q uppers."""
-    _check_brute_bounds(m, n, p)
-    return _rank_census(m + n + p + 1)[(q, (m + n + 1, n + p + 1), False)]
+def reversed_count_brute(m, n, p, q):
+    """Count reversed extensions of rank (m+n+1, n+p+1) over paths with q uppers.
+
+    Broadcasts over int arrays; int arguments give an int.
+    """
+    return _brute_count(m, n, p, q, lambda m, n, p, q: (q, (m + n + 1, n + p + 1), False))
 
 
 @dataclass(frozen=True)
@@ -118,16 +138,14 @@ class SeriesPolynomial:
         return total
 
 
-def _series(s: int, count: Callable[[int, int, int, int], int], dagger: bool) -> SeriesPolynomial:
+def _series(s: int, count: Callable, dagger: bool) -> SeriesPolynomial:
     if s < 1:
         raise ValueError(f"need degree s >= 1, got {s}")
-    terms = []
-    for m, n, p in degree_terms(s):
-        for q in range(0, s + 1):
-            c = count(m, n, p, q)
-            if c != 0:
-                terms.append((m, n, p, q, c))
-    return SeriesPolynomial(degree=s, dagger=dagger, terms=tuple(terms))
+    keys = np.array(list(degree_terms(s)))
+    table = count(keys[:, :1], keys[:, 1:2], keys[:, 2:], np.arange(s + 1)).tolist()
+    terms = tuple((m, n, p, q, c) for (m, n, p), row in zip(keys.tolist(), table)
+                  for q, c in enumerate(row) if c != 0)
+    return SeriesPolynomial(degree=s, dagger=dagger, terms=terms)
 
 
 def causal_series(s: int) -> SeriesPolynomial:
@@ -170,8 +188,8 @@ _EXACT_BOUND = 2.0 ** 62
 _CHUNK = 1 << 12
 
 
-def _identity_table(count: Callable[[int, int, int, int], int], w: int,
-                    xi_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _identity_table(count: Callable, w: int, xi_max: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every count(m, n, p, q) the identity reads at weight <= w and xi <= xi_max.
 
     For alpha + beta + gamma <= w and 0 <= xi <= X = xi_max, every row the
@@ -185,22 +203,23 @@ def _identity_table(count: Callable[[int, int, int, int], int], w: int,
       [0, w - 1] and 0 <= t1 <= xi, in [1 - X, w].
 
     Hence the window [min(-w - 1, 1 - X), max(X, w)]; for verify's X = w + 2
-    that is [-(w + 1), w + 2].  ``count`` is called once on every index of
-    the window.  Returns (keys, tab, row, q_lo): keys is the (R, 3) int64
-    (m, n, p) of every weight <= w, ordered by weight, then m, then n; the
-    int64 table has one row per key, so ``tab[row[m, n, p], q - q_lo] =
-    count(m, n, p, q)``, and ``row`` is -1 off the table.  A count that does
-    not fit in int64 raises ArithmeticError.
+    that is [-(w + 1), w + 2].  ``count`` is called once, on the whole
+    window: m, n and p as (R, 1) columns against q as a (1, Q) row.  Returns
+    (keys, tab, row, q_lo): keys is the (R, 3) int64 (m, n, p) of every
+    weight <= w, ordered by weight, then m, then n; the int64 table has one
+    row per key, so ``tab[row[m, n, p], q - q_lo] = count(m, n, p, q)``, and
+    ``row`` is -1 off the table.  A count that does not fit in int64 (say a
+    Python int in an object array) raises ArithmeticError.
     """
     q_lo, q_hi = min(-w - 1, 1 - xi_max), max(xi_max, w)
     keys = np.array([t for c in range(w + 1) for t in degree_terms(c + 1)], dtype=np.int64)
-    tab = np.zeros((len(keys), q_hi - q_lo + 1), dtype=np.int64)
+    tab = np.asarray(count(*keys.T[:, :, None], np.arange(q_lo, q_hi + 1)))
+    if tab.dtype != np.int64 and (huge := np.abs(tab) >= 2 ** 63).any():
+        i, j = np.argwhere(huge)[0]
+        raise ArithmeticError(f"count{(*keys[i].tolist(), q_lo + j)} does not fit in int64")
+    tab = np.broadcast_to(tab, (len(keys), q_hi - q_lo + 1)).astype(np.int64)
     row = np.full((w + 1,) * 3, -1)
-    for i, (m, n, p) in enumerate(keys.tolist()):
-        vals = [count(m, n, p, q) for q in range(q_lo, q_hi + 1)]
-        if max(map(abs, vals)) >= 2 ** 63:
-            raise ArithmeticError(f"count({m}, {n}, {p}, q) does not fit in int64")
-        tab[i], row[m, n, p] = vals, i
+    row[tuple(keys.T)] = np.arange(len(keys))
     return keys, tab, row, q_lo
 
 
@@ -266,22 +285,22 @@ def _pairs(tab: np.ndarray, weight: np.ndarray, q_lo: int,
     return lvec, rvec, li, rrows[r]
 
 
-def unitarity_identity_residuals(w: int, xi_max: int, count: Callable[[int, int, int, int], int]
-                                 ) -> tuple[np.ndarray, np.ndarray]:
+def unitarity_identity_residuals(w: int, xi_max: int,
+                                 count: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the unitarity coefficient identity, exact, at every weight <= w.
 
     Returns (triples, residuals): the (R, 3) int64 (alpha, beta, gamma) of
     every alpha + beta + gamma <= w, by weight, then alpha, then beta, the
     order of the table's rows (see :func:`_identity_table`), and the
     (R, xi_max + 1) int64 residuals of each for xi = 0..xi_max and the forward
-    counts ``count``, tabulated once per call on every index the identity
-    reads.  The triple sum is enumerated per triple; the 5-fold sum per
-    (left row, right row) pair of nonzero read windows (see :func:`_pairs`),
-    which with m2 and n1 fixes one term of one triple.  Both are expanded in
-    fixed-size chunks by repeat expansions, and each chunk's terms are added
-    per triple as one segment.  Every partial sum is bounded in float64
-    first; a bound of 2**62 or more raises ArithmeticError rather than let
-    int64 wrap.
+    counts ``count``, which broadcasts like :func:`forward_count_closed` and is
+    called once per call, on every index the identity reads.  The triple sum
+    is enumerated per triple; the 5-fold sum per (left row, right row) pair
+    of nonzero read windows (see :func:`_pairs`), which with m2 and n1 fixes
+    one term of one triple.  Both are expanded in fixed-size chunks by repeat
+    expansions, and each chunk's terms are added per triple as one segment.
+    Every partial sum is bounded in float64 first; a bound of 2**62 or more
+    raises ArithmeticError rather than let int64 wrap.
     """
     if w < 0 or xi_max < 0:
         raise ValueError("indices must be >= 0")
@@ -289,7 +308,7 @@ def unitarity_identity_residuals(w: int, xi_max: int, count: Callable[[int, int,
     triples, tab, row, q_lo = _identity_table(count, w, X)
     alpha, beta, gamma = keys = triples.T
     span = np.arange(X + 1)
-    comb = np.array([[math.comb(n, k) for k in range(w + 1)] for n in range(w + 1)], dtype=np.int64)
+    comb = pascal(*np.ogrid[:w + 1, :w + 1])
     rowmax = np.abs(tab.astype(float)).max(axis=1)
 
     # count(alpha, beta, gamma, xi) and the two delta terms
@@ -346,7 +365,7 @@ def unitarity_identity_residual(
     beta: int,
     gamma: int,
     xi: int,
-    forward_count: Callable[[int, int, int, int], int] | None = None,
+    forward_count: Callable | None = None,
 ) -> int:
     """Exact evaluation of the coefficient identity implied by unitarity.
 
@@ -354,9 +373,10 @@ def unitarity_identity_residual(
     power index xi, a multi-sum of forward counts and binomials that must
     vanish.  Empty ranges (negative upper bounds) contribute nothing.  The
     ``forward_count`` hook, :func:`forward_count_closed` when None, exists so
-    tests can inject a corrupted table as a negative control.  This runs the
-    pass of :func:`unitarity_identity_residuals` at weight alpha + beta +
-    gamma, so it evaluates every triple up to that weight and returns one entry.
+    tests can inject a corrupted table as a negative control; like it, the
+    hook broadcasts over int arrays.  This runs the pass of
+    :func:`unitarity_identity_residuals` at weight alpha + beta + gamma, so it
+    evaluates every triple up to that weight and returns one entry.
     """
     if min(alpha, beta, gamma, xi) < 0:
         raise ValueError("indices must be >= 0")

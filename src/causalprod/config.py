@@ -16,9 +16,10 @@ MAX_PRODUCT_DIM = 512
 # of it in cli.main) on a 2-vCPU host with one BLAS thread; apply_product's time grows as N^2 and
 # its memory as N, so N = 16384 would take ~0.3 s and 5.9 MB per 4 columns
 CONVERGE_DIM_CAP = 4096
-# verify's coefficient identity is one exact int64 pass over every triple: ~7 ms at
-# s_max = 10 and ~0.26 s at 20 on a 2-vCPU host, ~6 MB of numpy arrays at its peak
-# (~0.64 s and ~9 MB at 24)
+# verify's coefficient identity is one exact int64 pass over every triple, its count table one
+# broadcast call over the int64 Pascal table: ~4 ms at s_max = 10 and ~0.22 s at 20 on a 2-vCPU
+# host (the table ~0.2 and ~1.7 ms of it), ~6 MB of numpy arrays at its peak (~0.54 s and ~9 MB
+# at 24, ~1.5 s and ~18 MB at 28)
 VERIFY_IDENTITY_CAP = 20
 
 # kernel evaluates an n x n grid one point per call: ~0.1 ms per point at --s-max 0 and ~14 ms

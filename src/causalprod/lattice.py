@@ -72,12 +72,6 @@ class EssentialOrder:
     first: Label
     last: Label
 
-    def predecessors(self) -> dict[Label, set[Label]]:
-        preds: dict[Label, set[Label]] = {lab: set() for lab in self.labels}
-        for lo, hi in self.less:
-            preds[hi].add(lo)
-        return preds
-
 
 @dataclass(frozen=True)
 class LinearExtension:
@@ -154,24 +148,32 @@ def _refinements(order: EssentialOrder, ties: bool) -> list[tuple]:
     Each step places one available class (all predecessors placed) or, with ``ties``,
     two available together, i.e. incomparable.  With ``ties`` a refinement is its
     sequence of level tuples, else the sequence of its classes.  Plain backtracking
-    with no symmetry shortcuts, so it stays trustworthy as the counting oracle.
+    with no symmetry shortcuts, so it stays trustworthy as the counting oracle; the
+    placed classes are a bitmask over ``order.labels``.
     """
-    preds, labels = order.predecessors(), order.labels
+    labels = order.labels
+    index = {a: i for i, a in enumerate(labels)}
+    needs = [0] * len(labels)
+    for lo, hi in order.less:
+        needs[index[hi]] |= 1 << index[lo]
+    # class a is available when placed & (its bit | need) == need: a unplaced, its predecessors placed
+    spec = [(1 << i | need, need, 1 << i, a) for i, (need, a) in enumerate(zip(needs, labels))]
+    done = (1 << len(labels)) - 1
     out: list[tuple] = []
 
-    def rec(placed: frozenset[Label], prefix: tuple) -> None:
-        if len(placed) == len(labels):
+    def rec(placed: int, prefix: tuple) -> None:
+        if placed == done:
             out.append(prefix)
             return
-        for i, a in enumerate(labels):
-            if a not in placed and preds[a] <= placed:
-                rec(placed | {a}, prefix + ((a,) if ties else a,))
+        for i, (mask, need, bit, a) in enumerate(spec):
+            if placed & mask == need:
+                rec(placed | bit, prefix + ((a,) if ties else a,))
                 # a later class b available alongside a is incomparable to it
-                for b in labels[i + 1:] if ties else ():
-                    if b not in placed and preds[b] <= placed:
-                        rec(placed | {a, b}, prefix + ((a, b),))
+                for mask_b, need_b, bit_b, b in spec[i + 1:] if ties else ():
+                    if placed & mask_b == need_b:
+                        rec(placed | bit | bit_b, prefix + ((a, b),))
 
-    rec(frozenset(), ())
+    rec(0, ())
     return out
 
 

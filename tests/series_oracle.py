@@ -11,7 +11,9 @@ Bessel closed forms and the multi-sum coefficient identity: it only consumes
 the closed-form forward/reversed count tables.
 
 The module also keeps the per-xi evaluation of that multi-sum identity, the
-slow oracle for the table-driven fast path in :mod:`causalprod.coefficients`.
+slow oracle for the table-driven fast path in :mod:`causalprod.coefficients`,
+and the closed-form counts one index at a time in Python ints on ``binomial``,
+the reference for the broadcast closed forms that read the int64 Pascal table.
 """
 from __future__ import annotations
 
@@ -108,23 +110,51 @@ def isometry_series_defects(s_top: int) -> list[tuple[Mono, int, Fraction]]:
     return bad
 
 
-def corrupted_count(at: tuple[int, int, int, int]):
-    """The closed-form forward count with one added to the entry ``at``: a negative control."""
-    def count(m: int, n: int, p: int, q: int) -> int:
-        val = forward_count_closed(m, n, p, q)
-        return val + 1 if (m, n, p, q) == at else val
-    return count
+def forward_count_reference(m: int, n: int, p: int, q: int) -> int:
+    """The forward count's closed form at one index, in Python ints on ``binomial``.
+
+    Zero below 2q = m + n + p, C(n, q - m) - C(n, q) at it and C(n, q - 1) -
+    C(n, q) above it: the per-index form that the broadcast
+    ``coefficients.forward_count_closed`` replaced, kept as its reference.
+    """
+    if min(m, n, p) < 0:
+        raise ValueError(f"m, n, p must be >= 0, got {(m, n, p)}")
+    w = m + n + p
+    if 2 * q < w:
+        return 0
+    if 2 * q == w:
+        return binomial(n, q - m) - binomial(n, q)
+    return binomial(n, q - 1) - binomial(n, q)
+
+
+def reversed_count_reference(m: int, n: int, p: int, q: int) -> int:
+    """The reversed count at one index: 1 iff m == p == q and n == 0."""
+    if min(m, n, p) < 0:
+        raise ValueError(f"m, n, p must be >= 0, got {(m, n, p)}")
+    return 1 if (m == p == q and n == 0) else 0
+
+
+def corrupted_count(at: tuple[int, int, int, int], count=forward_count_closed):
+    """``count`` with one added to the entry ``at``: a negative control.
+
+    The one added is the indicator of ``at``, so the hook broadcasts over int
+    arrays when ``count`` does and stays in Python ints when ``count`` does.
+    """
+    def corrupted(m, n, p, q):
+        return count(m, n, p, q) + ((m == at[0]) & (n == at[1]) & (p == at[2]) & (q == at[3]))
+    return corrupted
 
 
 def unitarity_identity_residual_slow(alpha: int, beta: int, gamma: int, xi: int,
-                                     count=forward_count_closed) -> int:
+                                     count=forward_count_reference) -> int:
     """The unitarity coefficient identity evaluated one xi at a time, straight from the sum.
 
     Kept as the oracle for the batched, table-driven
     ``coefficients.unitarity_identity_residuals``: it calls ``count`` on exactly
-    the indices the multi-sum names, with no table, no q-window and no reuse
-    across xi, so a window or indexing error in the fast path shows up as a
-    difference.
+    the indices the multi-sum names, one at a time, with no table, no q-window
+    and no reuse across xi, so a window or indexing error in the fast path
+    shows up as a difference.  ``count`` defaults to the per-index reference
+    closed form, not the broadcast one, which costs far more per scalar call.
     """
     total = count(alpha, beta, gamma, xi)
     if beta == 0 and alpha == gamma == xi - 1:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +63,7 @@ def test_coeffs_mismatch_sets_exit_status(tmp_path, capsys, monkeypatch):
     orig = coefficients.forward_count_closed
 
     def corrupted(m, n, p, q):
-        val = orig(m, n, p, q)
-        return val + 1 if (m, n, p, q) == (0, 0, 0, 1) else val
+        return orig(m, n, p, q) + ((m == 0) & (n == 0) & (p == 0) & (q == 1))
 
     monkeypatch.setattr(coefficients, "forward_count_closed", corrupted)
     assert _run(["coeffs", "--s-max", "1", "--out", str(tmp_path / "t.json")]) == 1
@@ -177,7 +177,7 @@ def test_verify_refuses_identity_overflow(tmp_path, capsys, monkeypatch):
     closed = coefficients.forward_count_closed
 
     def huge(m, n, p, q):
-        return 2 ** 61 if (m, n, p, q) == (1, 0, 1, 1) else closed(m, n, p, q)
+        return np.where((m == 1) & (n == 0) & (p == 1) & (q == 1), 2 ** 61, closed(m, n, p, q))
 
     monkeypatch.setattr(coefficients, "forward_count_closed", huge)
     out = tmp_path / "r.json"
@@ -193,6 +193,32 @@ def test_verify_at_its_cap(tmp_path):
     row = next(r for r in _read_json(out)["rows"] if r["name"] == "unitarity_coefficient_identity")
     assert row["params"] == f"alpha+beta+gamma <= {VERIFY_IDENTITY_CAP}"
     assert row["pass"] == 1 and row["residual"] == 0.0
+
+
+def _call_counter(monkeypatch, owner, names, calls):
+    """Count in ``calls`` each call of owner.<name>, which still does its work."""
+    for name in names:
+        real = getattr(owner, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+
+def test_exact_checks_evaluate_each_count_in_one_array_call(tmp_path, monkeypatch):
+    """verify and coeffs at the benchmark's sizes hand each count or check its whole table at once."""
+    counts = ("forward_count_closed", "forward_count_brute",
+              "reversed_count_closed", "reversed_count_brute")
+    calls = Counter()
+    _call_counter(monkeypatch, cli.coeff, counts, calls)
+    _call_counter(monkeypatch, cli, ["catalan_recurrence_holds"], calls)
+    assert _run(["verify", "--s-max", "10", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {"forward_count_closed": 1, "catalan_recurrence_holds": 1}
+    calls.clear()
+    assert _run(["coeffs", "--s-max", "8", "--out", str(tmp_path / "t.json")]) == 0
+    assert calls == dict.fromkeys(counts, 1)
 
 
 def test_verify_cap_refusal(tmp_path, capsys):

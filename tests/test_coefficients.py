@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from causalprod.coefficients import (
     _identity_table,
+    _rank_census,
     anticausal_series,
     causal_series,
     forward_count_brute,
@@ -19,10 +20,13 @@ from causalprod.coefficients import (
     unitarity_identity_residuals,
 )
 from causalprod.combinatorics import catalan_general
-from causalprod.config import VERIFY_IDENTITY_CAP
+from causalprod.config import COEFF_TABLE_CAP, VERIFY_IDENTITY_CAP
+from causalprod.lattice import enumerate_linear_extensions, enumerate_paths, essential_order
 from series_oracle import (
     corrupted_count,
+    forward_count_reference,
     isometry_series_defects,
+    reversed_count_reference,
     unitarity_identity_residual_slow,
 )
 
@@ -47,6 +51,60 @@ def test_closed_form_examples():
     assert reversed_count_closed(1, 0, 1, 1) == 1
     assert reversed_count_closed(0, 0, 0, 0) == 1
     assert reversed_count_closed(1, 1, 1, 1) == 0
+
+
+def _reference_table(count, index):
+    """count at each column of the (4, K) index, one Python call per index."""
+    return [count(*idx) for idx in index.T.tolist()]
+
+
+# every index the identity pass reads at verify's cap: weight <= 20, q in [-21, 22]
+CAP_WINDOW = np.array([(m, n, p, q) for m in range(21) for n in range(21 - m)
+                       for p in range(21 - m - n) for q in range(-21, 23)]).T
+# every index the coeffs command reads at its cap: degree s <= 8, q in [0, s]
+COEFFS_INDEX = np.array([(m, n, s - 1 - m - n, q) for s in range(1, COEFF_TABLE_CAP + 1)
+                         for m in range(s) for n in range(s - m) for q in range(s + 1)]).T
+
+
+@pytest.mark.parametrize("index", [CAP_WINDOW, COEFFS_INDEX], ids=["identity-window", "coeffs"])
+def test_broadcast_closed_forms_match_per_index_reference(index):
+    """The closed forms over the int64 Pascal table equal the per-index Python-int forms."""
+    forward, reversed_ = forward_count_closed(*index), reversed_count_closed(*index)
+    assert forward.dtype == reversed_.dtype == np.int64 and forward.shape == index[0].shape
+    assert forward.tolist() == _reference_table(forward_count_reference, index)
+    assert reversed_.tolist() == _reference_table(reversed_count_reference, index)
+    assert forward.any() and reversed_.any()
+
+
+def test_closed_forms_broadcast_columns_against_rows_and_keep_int_scalars():
+    m, n, p = np.array([[1, 0, 1], [0, 2, 0], [2, 1, 1]]).T[:, :, None]
+    q = np.arange(-1, 5)
+    table = forward_count_closed(m, n, p, q)
+    assert table.shape == (3, 6)
+    assert table.tolist() == [[forward_count_reference(*k, t) for t in q.tolist()]
+                              for k in ([1, 0, 1], [0, 2, 0], [2, 1, 1])]
+    assert type(forward_count_closed(0, 0, 0, 1)) is int
+    assert type(reversed_count_closed(1, 0, 1, 1)) is int
+    assert type(forward_count_brute(0, 0, 0, 1)) is int
+    with pytest.raises(ValueError, match=r"got \(0, -1, 0\)"):
+        forward_count_closed(np.array([0, 0]), np.array([1, -1]), 0, 2)
+
+
+def test_brute_counts_broadcast_as_census_lookups():
+    forward, reversed_ = forward_count_brute(*COEFFS_INDEX), reversed_count_brute(*COEFFS_INDEX)
+    assert forward.dtype == reversed_.dtype == np.int64
+    assert forward.tolist() == _reference_table(forward_count_brute, COEFFS_INDEX)
+    assert reversed_.tolist() == _reference_table(reversed_count_brute, COEFFS_INDEX)
+    with pytest.raises(ValueError, match="exceeds brute-force cap"):
+        forward_count_brute(np.array([0, 4]), np.array([0, 4]), np.array([0, 4]), 6)
+
+
+def test_rank_census_matches_a_tally_of_linear_extensions():
+    """The census tallied from bare sequences equals one tallied from LinearExtension objects."""
+    for s in range(1, COEFF_TABLE_CAP + 1):
+        tally = Counter((path.upper_count, ext.rank, ext.forward) for path in enumerate_paths(s)
+                        for ext in enumerate_linear_extensions(essential_order(path)))
+        assert _rank_census(s) == tally
 
 
 def test_brute_examples():
@@ -157,8 +215,7 @@ def test_identity_residual_rejects_negative_indices():
 
 def test_identity_residual_detects_corruption():
     def corrupted(m, n, p, q):
-        val = forward_count_closed(m, n, p, q)
-        return val + 1 if (m, n, p, q) == (1, 0, 1, 1) else val
+        return forward_count_closed(m, n, p, q) + ((m == 1) & (n == 0) & (p == 1) & (q == 1))
 
     assert unitarity_identity_residual(1, 0, 1, 1, forward_count=corrupted) != 0
 
@@ -186,13 +243,16 @@ def test_identity_pass_rejects_negative_weight_or_xi():
         unitarity_identity_residuals(2, -1, forward_count_closed)
 
 
+# the fast pass reads the broadcast closed form (or a hook on it), the slow oracle the
+# per-index reference closed form (or the same hook on it)
 @pytest.mark.parametrize("at", [None, *IDENTITY_CORRUPTIONS])
 def test_identity_batched_matches_slow_oracle(at):
     count = forward_count_closed if at is None else corrupted_count(at)
+    slow = forward_count_reference if at is None else corrupted_count(at, forward_count_reference)
     triples, fast = unitarity_identity_residuals(8, 10, count)
     assert fast.shape == (len(triples), 11)
     for (alpha, beta, gamma), row in zip(triples.tolist(), fast.tolist()):
-        assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+        assert row == [unitarity_identity_residual_slow(alpha, beta, gamma, xi, slow)
                        for xi in range(11)]
     assert fast.any() == (at is not None)
 
@@ -200,11 +260,11 @@ def test_identity_batched_matches_slow_oracle(at):
 @pytest.mark.parametrize("at", [None, (1, 0, 1, 1), (0, 0, 0, -3)])
 def test_identity_scalar_matches_slow_oracle(at):
     hook = None if at is None else corrupted_count(at)
-    count = hook or forward_count_closed
-    for alpha, beta, gamma in unitarity_identity_residuals(4, 0, count)[0].tolist():
+    slow = forward_count_reference if at is None else corrupted_count(at, forward_count_reference)
+    for alpha, beta, gamma in unitarity_identity_residuals(4, 0, forward_count_closed)[0].tolist():
         for xi in range(9):
             assert unitarity_identity_residual(alpha, beta, gamma, xi, hook) == \
-                unitarity_identity_residual_slow(alpha, beta, gamma, xi, count)
+                unitarity_identity_residual_slow(alpha, beta, gamma, xi, slow)
 
 
 def test_identity_pass_memory_at_the_cap():
@@ -220,19 +280,19 @@ def test_identity_pass_memory_at_the_cap():
 
 
 def test_identity_tabulates_each_count_once_per_call():
-    """Every index of the window is counted once per call, and no call reuses another's table."""
-    calls = Counter()
+    """One count call per pass covers each index of the window once; no pass reuses a table."""
+    calls = []
 
     def spy(m, n, p, q):
-        calls[m, n, p, q] += 1
+        calls.append(Counter(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(m, n, p, q)))))
         return forward_count_closed(m, n, p, q)
 
     # w = 6 and X = 8: q in [min(-w - 1, 1 - X), max(X, w)] = [-7, 8]
     triples, first = unitarity_identity_residuals(6, 8, spy)
     window = Counter((m, n, p, q) for m, n, p in triples.tolist() for q in range(-7, 9))
-    assert len(window) == 1344 and calls == window
+    assert len(window) == 1344 and calls == [window]
     second = unitarity_identity_residuals(6, 8, spy)[1]
-    assert calls == window + window
+    assert calls == [window, window]
     assert np.array_equal(first, second) and not first.any()
 
 
@@ -246,10 +306,15 @@ def test_identity_table_has_one_row_per_triple_by_weight():
                             for k in keys.tolist()]
 
 
-def _count_with(at, value):
-    def count(m, n, p, q):
-        return value if (m, n, p, q) == at else forward_count_closed(m, n, p, q)
-    return count
+def _count_with(at, value, count=forward_count_closed):
+    """``count`` with the entry ``at`` set to ``value``, as Python ints in an object array.
+
+    Broadcasts over int arrays; on ints, ``[()]`` unwraps the 0-d array to a Python int.
+    """
+    def hooked(m, n, p, q):
+        hit = (m == at[0]) & (n == at[1]) & (p == at[2]) & (q == at[3])
+        return np.where(hit, value, np.asarray(count(m, n, p, q), dtype=object))[()]
+    return hooked
 
 
 def test_identity_overflow_guard_refuses():
@@ -259,18 +324,20 @@ def test_identity_overflow_guard_refuses():
         unitarity_identity_residuals(6, 8, count)
     with pytest.raises(ArithmeticError):
         unitarity_identity_residual(2, 0, 2, 3, count)
-    with pytest.raises(ArithmeticError):  # does not fit in int64 at all
+    with pytest.raises(ArithmeticError, match="does not fit in int64"):  # not in int64 at all
         unitarity_identity_residuals(2, 4, _count_with((1, 0, 1, 1), 2 ** 63))
     with pytest.raises(ArithmeticError):  # read only as the right-hand factor of the 5-fold sum
         unitarity_identity_residuals(6, 8, _count_with((0, 0, 0, -5), 2 ** 61))
     # far below the bound the same corruptions are residuals like any other
-    count = _count_with((1, 0, 1, 1), 2 ** 40)
-    assert unitarity_identity_residual(2, 0, 2, 3, count) == \
-        unitarity_identity_residual_slow(2, 0, 2, 3, count) != 0
-    count = _count_with((0, 0, 0, -5), 2 ** 40)
-    triples, res = unitarity_identity_residuals(6, 8, count)
+    at = (1, 0, 1, 1)
+    assert unitarity_identity_residual(2, 0, 2, 3, _count_with(at, 2 ** 40)) == \
+        unitarity_identity_residual_slow(2, 0, 2, 3,
+                                         _count_with(at, 2 ** 40, forward_count_reference)) != 0
+    at = (0, 0, 0, -5)
+    triples, res = unitarity_identity_residuals(6, 8, _count_with(at, 2 ** 40))
+    slow = _count_with(at, 2 ** 40, forward_count_reference)
     assert res.any() and res.tolist() == [
-        [unitarity_identity_residual_slow(alpha, beta, gamma, xi, count) for xi in range(9)]
+        [unitarity_identity_residual_slow(alpha, beta, gamma, xi, slow) for xi in range(9)]
         for alpha, beta, gamma in triples.tolist()]
 
 

@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalprod.combinatorics import (
+    CATALAN_RECURRENCE_TOP,
+    PASCAL_TOP,
     DyckQuery,
     binomial,
     catalan_general,
     catalan_recurrence_holds,
     enumerate_dyck,
     fibonacci,
+    pascal,
 )
 
 # first classical Catalan numbers, independent of catalan_general
@@ -117,3 +121,59 @@ def test_catalan_recurrence_rejects_unmet_hypotheses():
 def test_catalan_recurrence_on_valid_range(m, n, p):
     if m >= p and m + n + p + 1 >= 0:
         assert catalan_recurrence_holds(m, n, p)
+
+
+def _catalan_reference(m, n, p):
+    """C(m+n, m) - C(m+n, m+p+1) at one triple, in Python ints on binomial."""
+    return binomial(m + n, m) - binomial(m + n, m + p + 1)
+
+
+def _recurrence_reference(m, n, p):
+    """The Catalan product recurrence at one triple, in Python ints: the per-triple form."""
+    lhs = sum(_catalan_reference(k + n, k, 0) * _catalan_reference(m - k, p - k, 0)
+              for k in range((m + p) // 2 + 1))
+    return lhs == _catalan_reference(m + n + 1, p, 0)
+
+
+def test_pascal_matches_binomial_on_and_off_the_table():
+    n, k = np.arange(-3, PASCAL_TOP + 1)[:, None], np.arange(-3, PASCAL_TOP + 4)
+    table = pascal(n, k)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[binomial(a, b) for b in k.tolist()] for a in n[:, 0].tolist()]
+    assert pascal(PASCAL_TOP, PASCAL_TOP // 2) == binomial(66, 33) < 2 ** 63 <= binomial(67, 33)
+    with pytest.raises(OverflowError):
+        pascal(np.array([3, PASCAL_TOP + 1]), 1)
+
+
+def test_catalan_general_broadcasts_and_keeps_int_scalars():
+    m, n, p = np.mgrid[-4:12, -4:12, -3:6]
+    assert catalan_general(m, n, p).tolist() == np.vectorize(_catalan_reference)(m, n, p).tolist()
+    assert type(catalan_general(3, 3, 0)) is int
+
+
+# verify's grid: |m|, n, |p| <= 8 under the recurrence's hypotheses
+VERIFY_GRID = np.array([(m, n, p) for m in range(-8, 9) for n in range(9)
+                        for p in range(-8, m + 1) if m + n + p + 1 >= 0]).T
+# m + n + p == CATALAN_RECURRENCE_TOP, the largest weight the int64 sums are proved to hold
+BOUND_GRID = np.array([(CATALAN_RECURRENCE_TOP - n - p, n, p) for n in range(0, 62, 3)
+                       for p in range(-2, 31) if CATALAN_RECURRENCE_TOP - n - p >= p]).T
+
+
+@pytest.mark.parametrize("grid", [VERIFY_GRID, BOUND_GRID], ids=["verify-grid", "int64-bound"])
+def test_broadcast_recurrence_matches_per_triple_check(grid):
+    held = catalan_recurrence_holds(*grid)
+    assert held.dtype == bool and held.shape == grid[0].shape
+    assert held.tolist() == [_recurrence_reference(*t) for t in grid.T.tolist()]
+    assert held.all()
+
+
+def test_recurrence_grid_of_verify_has_1039_triples():
+    assert VERIFY_GRID.shape == (3, 1039)
+
+
+def test_recurrence_refuses_past_its_int64_bound_and_keeps_bool_scalars():
+    assert catalan_recurrence_holds(2, 0, 2) is True
+    with pytest.raises(OverflowError):
+        catalan_recurrence_holds(31, 1, 30)  # m + n + p = 62
+    with pytest.raises(ValueError, match=r"unmet for \(1, -1, 0\)"):
+        catalan_recurrence_holds(np.array([2, 1]), np.array([0, -1]), np.array([2, 0]))
