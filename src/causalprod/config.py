@@ -12,9 +12,9 @@ SERIES_CAP = 40
 # O(N^3) time, N x N memory); CONVERGE_DIM_CAP caps every fast use of the
 # product (apply_product, hence converge and bilinear_form).
 MAX_PRODUCT_DIM = 512
-# At the cap, converge --n-list 256,512,1024,2048,4096 takes ~0.22 s as a cold process (~0.1 s
+# At the cap, converge --n-list 256,512,1024,2048,4096 takes ~0.21 s as a cold process (~0.1 s
 # of it in cli.main) on a 2-vCPU host with one BLAS thread; apply_product's time grows as N^2 and
-# its memory as N, so N = 16384 would take ~0.3 s and 5.9 MB per 4 columns
+# its memory as N: its sweep takes ~0.3 s and 5.7 MB per 4 columns at N = 16384
 CONVERGE_DIM_CAP = 4096
 # verify's coefficient identity is one exact int64 pass over every triple, its count table one
 # broadcast call over the int64 Pascal table: ~4 ms at s_max = 10 and ~0.22 s at 20 on a 2-vCPU

@@ -11,18 +11,18 @@ the limit kernel at cell midpoints to first order in 1/N.
 Two disjoint routes compute the product.  ``double_product`` forms the dense
 N x N array, one two-column update per factor (the oracle, N <= 512).
 ``apply_product`` applies it to an N x k block by groups of g ~ sqrt(N)
-sweeps: factors on disjoint rows commute, so within a group every earlier
-row passes through the same (g+1) x (g+1) step matrix M, and a block of g
-earlier rows passes through one fixed 2g x 2g tile built from M.  A tile
-needs only the tiles left of it and above it, so each anti-diagonal of tiles
-is one batched matrix product, and the size-g product, a chain of single
-sweeps, then acts on each group's own rows; M_AA is persymmetric, so one
-table of rows M_xA M_AA^t fills every tile.  The error is rounding only: per
-entry, at most 4.9e-15 against the dense product for N <= 512 and 1.01e-14
-against ``tests/product_oracle.py::product_columns`` for N <= 4096.
+sweeps: factors on disjoint rows commute, so a group passes a block of g
+earlier rows as one tile, and the tiles on one anti-diagonal touch disjoint
+rows and run as one batched matrix product.  Every tile, and the product of
+a group's own rows, is composed from the 2 x 2 step by halving: the first
+half of the accumulators may pass every earlier row before the rest do.  The
+error is rounding only: per entry, at most 5.3e-15 against the dense product
+for N <= 512 and 7.1e-15 against ``tests/product_oracle.py::product_columns``
+for N <= 4096.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -141,93 +141,77 @@ def double_product(n: int, iv: Interval, nu: ComplexParam,
 
 
 def _grouped_sweep(u: np.ndarray, c: float, up: complex, lo: complex) -> None:
-    """Apply sweeps 1..n-1 to u in place, g = round(sqrt(n)) at a time.
+    """Apply sweeps 1..n-1 to u in place, g ~ sqrt(n), a power of two, at a time.
 
     u is k x n and column t holds row t of the reversed block, so sweep r has
-    accumulator column r and steps through columns 0..r-1.  A group is g
-    consecutive sweeps; the rows before it are its passive rows x_t and its
-    own g rows are its starting accumulators A.  Passing x_t through the g
-    sweeps is one (g+1) x (g+1) step matrix M = [[M_AA, M_Ax], [M_xA, c^g]],
-    the same for every t and every group.  With e_t = M_xA M_AA^t and
-    h_d = e_(d-1) M_Ax, passing a block of p passive rows x_0..x_(p-1) in
-    turn is one (g+p) x (g+p) tile
+    accumulator column r and steps through columns 0..r-1.  Rows are held as
+    columns, so every map below is a right multiplier on rows in their order.
+    tile(a, p) passes a accumulators through the p rows before them: at
+    a = p = 1 it is the step [[c, up], [lo, c]]; otherwise the first a // 2
+    accumulators may pass every earlier row before the rest do, so it is two
+    half tiles and one matmul, and a < p is tile(p, a) with the order of the
+    rows reversed (the product is persymmetric).  A tile's diagonal is c^a on
+    the earlier rows and c^p on the accumulators, taken from pow.  own(s),
+    the sweeps of s rows among themselves, is own(h) on the first h = s // 2,
+    then tile(s - h, h), then own(s - h) on the rest.
 
-        A   <- M_AA^p A + sum_{s<p} M_AA^(p-1-s) M_Ax x_s
-        x_t <- c^g x_t + sum_{s<t} h_(t-s) x_s + e_t A
-
-    after which D, the sweeps of the group's own rows among themselves, acts
-    on those rows alone.  Sweep r on its own rows is the (r+1) x (r+1)
-    right multiplier S_r with M_AA[:r, :r]^T top left, last row lo c^t and
-    last column up c^(r-1-t) for t < r, and corner c^r, so D is the chain
-    S_1 ... S_(g-1).  The first 1 + (n-1) % g rows (the lead, block T = -1)
-    take the chain's first steps, so every later block is a whole group and
-    one 2g x 2g tile serves every pair of group R and earlier group T; a
-    second tile serves the lead.  Tile (R, T) needs only tiles (R, T-1) and
-    (R-1, T), and D of group T comes between tiles (T, T-1) and (T+1, T).
-    So the tiles on one anti-diagonal R + T touch disjoint rows, and the
-    sweep runs over the ~2 n/g anti-diagonals, each one batched matrix
-    product plus at most one lead tile and one D.  Rows are held as
-    columns, which makes every product above a right multiplication.
+    A group is g consecutive sweeps.  The first 1 + (n-1) % g rows (the lead,
+    block T = -1) take own(lead) first, so every later block is a whole group,
+    block T passes group R by tile(g, g) and the lead by tile(g, lead).  Tile
+    (R, T) needs only tiles (R, T-1) and (R-1, T), and own(g) of group T comes
+    between tiles (T, T-1) and (T+1, T).  So the tiles on one anti-diagonal
+    R + T touch disjoint rows, and the sweep runs over the ~2 n/g
+    anti-diagonals, each one batched matrix product plus at most one lead
+    tile and one own(g).  The builders last one call and meet few shapes (13
+    tiles at g = 16).
     """
+    @functools.cache
+    def tile(a: int, p: int) -> np.ndarray:
+        if a < p:
+            return tile(p, a)[::-1, ::-1].T
+        if a == 1:
+            return np.array([[c, up], [lo, c]])
+        h = a // 2
+        t = np.eye(p + a, dtype=complex)
+        t[:p + h, :p + h] = tile(h, p)
+        rest = [*range(p), *range(p + h, p + a)]  # the earlier rows and the last a - h accumulators
+        t[:, rest] = t[:, rest] @ tile(a - h, p)
+        np.fill_diagonal(t[:p, :p], c ** a)
+        np.fill_diagonal(t[p:, p:], c ** p)
+        return t
+
+    @functools.cache
+    def own(s: int) -> np.ndarray:
+        if s == 1:
+            return np.ones((1, 1))
+        h = s // 2
+        d = tile(s - h, h).copy()
+        d[:h] = own(h) @ d[:h]
+        d[:, h:] = d[:, h:] @ own(s - h)
+        return d
+
     n = u.shape[1]
-    g = round(math.sqrt(n))
-    pw = c ** np.arange(g, dtype=float)  # c^0 .. c^(g-1)
-    lag = np.subtract.outer(np.arange(g), np.arange(g))  # lag[i, j] = i - j
-    m_aa = np.where(lag > 0, up * lo * pw[lag - 1], 0.0)  # see apply_product
-    np.fill_diagonal(m_aa, c)
-    e, sq = lo * pw[None, ::-1], m_aa  # rows e[t] = M_xA M_AA^t for t < g, by doubling
-    while len(e) < g:
-        e, sq = np.vstack([e, e @ sq]), sq @ sq
-    e = e[:g]
-    hx = np.where(lag > 0, (e @ (up * pw))[lag - 1], 0.0)  # hx[t, s] = h_(t-s), 0 for s >= t
-    # (M_AA^t M_Ax)^T = (up/lo) e_t reversed by persymmetry (see apply_product); 0 if
-    # sin(theta) underflows
-    kappa = up / lo if lo else 0.0
-
-    def tile(p: int) -> np.ndarray:
-        """The tile of a p-row passive block, transposed, acting on rows [A, x]."""
-        t = np.empty((g + p, g + p), dtype=complex)
-        t[:g, :g] = np.linalg.matrix_power(m_aa, p)
-        t[:g, g:] = kappa * e[p - 1::-1, ::-1].T
-        t[g:, :g] = e[:p]
-        t[g:, g:] = hx[:p, :p]
-        # M_AA is lower triangular with diagonal c, so M_AA^p has diagonal c^p.  The
-        # products would round that O(1) diagonal once per factor (a relative error
-        # up to ~p eps); it and c^g are taken from pow, correct to an ulp.
-        np.fill_diagonal(t[:g, :g], c ** p)
-        np.fill_diagonal(t[g:, g:], c ** g)
-        return t.T.copy()
-
+    g = 1 << round(math.log2(n) / 2)
     start = 1 + (n - 1) % g
     lead = u[:, :start]
-    d = np.eye(g, dtype=complex)  # the chain S_1 ... S_r so far, the transpose of D at the end
-    for r in range(1, g):
-        s = np.empty((r + 1, r + 1), dtype=complex)
-        s[:r, :r] = m_aa[:r, :r].T
-        s[r, :r] = lo * pw[:r]
-        s[:r, r] = up * pw[r - 1::-1]
-        s[r, r] = c ** r
-        d[:r + 1, :r + 1] = d[:r + 1, :r + 1] @ s  # rows past r are 0 in these columns
-        if r == start - 1:
-            lead[:] = lead @ d[:start, :start]
+    lead[:] = lead @ own(start)
     # a view: groups[:, R] holds group R's rows, and writes to it land in u
     groups = u[:, start:].reshape(len(u), (n - start) // g, g)
     count = groups.shape[1]
-    t_lead, t_full = tile(start), tile(g)
     past = groups[:, ::-1]  # past[:, count - 1 - T] is block T
     for diag in range(-1, 2 * count - 1):  # tile (R, T) on anti-diagonal R + T; the lead is T = -1
         if diag + 1 < count:
-            w = np.concatenate((groups[:, diag + 1], lead), axis=1) @ t_lead
-            groups[:, diag + 1], lead[:] = w[:, :g], w[:, g:]
+            w = np.concatenate((lead, groups[:, diag + 1]), axis=1) @ tile(g, start)
+            lead[:], groups[:, diag + 1] = w[:, :start], w[:, start:]
         r0, r1 = diag // 2 + 1, min(diag, count - 1) + 1  # groups R in [r0, r1) meet T = diag - R
         if r0 < r1:
             acc = groups[:, r0:r1]
             blk = past[:, count - 1 - diag + r0:count - 1 - diag + r1]
-            w = np.concatenate((acc, blk), axis=2)
-            w = (w.reshape(-1, 2 * g) @ t_full).reshape(w.shape)
-            acc[:], blk[:] = w[..., :g], w[..., g:]
+            w = np.concatenate((blk, acc), axis=2)
+            w = (w.reshape(-1, 2 * g) @ tile(g, g)).reshape(w.shape)
+            blk[:], acc[:] = w[..., :g], w[..., g:]
         if diag % 2 == 0:
-            groups[:, diag // 2] = groups[:, diag // 2] @ d
+            groups[:, diag // 2] = groups[:, diag // 2] @ own(g)
 
 
 def apply_product(n: int, iv: Interval, nu: ComplexParam, block: np.ndarray) -> np.ndarray:
@@ -238,30 +222,24 @@ def apply_product(n: int, iv: Interval, nu: ComplexParam, block: np.ndarray) -> 
     block's rows reversed, sweep r (1..n-1) has accumulator row r and steps
     through rows 0..r-1: each step maps (a, v) to (c a + up v, lo a + c v).
     ``_grouped_sweep`` passes blocks of g ~ sqrt(n) rows through groups of g
-    sweeps by fixed tiles, one anti-diagonal of tiles per batched matrix
-    product.  Every tile entry comes from one table of rows e_t = M_xA M_AA^t
-    of the step matrix: M_AA is lower-triangular Toeplitz (c on the
-    diagonal, up lo c^(i-j-1) below), hence persymmetric, and
-    M_Ax[i] = up c^i, M_xA[j] = lo c^(g-1-j), so (M_AA^t M_Ax)^T is up/lo
-    times e_t reversed.  The group's own product D is a chain of g - 1
-    single sweeps.  That is ~2 n/g anti-diagonals plus ~g chain steps, about
-    3 sqrt(n) Python-level steps, and ~2 n^2 k complex multiply-adds in BLAS
-    for k columns, in O(nk + n) memory.
+    sweeps by tiles composed from that step, one anti-diagonal of tiles per
+    batched matrix product: ~2 n/g Python-level steps and ~2 n^2 k complex
+    multiply-adds in BLAS for k columns, in O(nk + n) memory.
 
-    Error model: every tile and D are unitary (products of the rotations
-    they stand for), so nothing is divided by c = cos((b-a)|nu|/n) and no
-    power grows; the error is rounding only, and the O(1) powers of c come
-    from pow.  Most of it is made where the tiles and D are formed: with
-    those formed in long double and rounded once, the worst case below
-    falls from 1.01e-14 to 1.7e-15, and the rounding of the state as each
-    row passes its ~sqrt(n) tiles is ~1e-15.  Per entry, with nu in
-    {0.6+0.8i, 3-4i, 1+0.5i, 1, i}, |fast - dense| <= 4.9e-15 for n <= 512,
-    and <= 2.7e-15, 5.5e-30, 1.0e-15 for n <= 80 at rotation angles 1.5,
-    pi/2, 3.0.  Against ``tests/product_oracle.py::product_columns`` (long
-    double) on 2-5 unit columns, |fast - scan| <= 2.3e-15 at n = 1024, 4096
-    (also nu = 6+8i) and <= 2.6e-29, 1.01e-14, 7.8e-15 at rotation angles
-    pi/2 (n = 520), 1.5, 2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are
-    refused.
+    Error model: every tile is unitary (a product of the rotations it stands
+    for), so nothing is divided and no power grows; the error is rounding
+    only.  Each tile's O(1) diagonal comes from pow: formed by the products,
+    it reads 1.14e-13 against the scan below at n = 4096, nu = 1+0.5i.  Most
+    of the rest is made where the tiles are formed: with them formed in long
+    double and rounded once, angle 1.5 at n = 1000 falls from 7.1e-15 to
+    1.7e-15, and the remainder, at most 3.7e-15, is the rounding of each row
+    as it passes its ~n/g tiles.  Per entry, with nu in {0.6+0.8i, 3-4i,
+    1+0.5i, 1, i}, |fast - dense| <= 5.3e-15 for n <= 512, and <= 1.6e-15,
+    5.6e-30, 1.4e-15 for n <= 80 at rotation angles 1.5, pi/2, 3.0.  Against
+    ``tests/product_oracle.py::product_columns`` (long double) on 2-5 unit
+    columns, |fast - scan| <= 3.6e-15 at n = 1024, 4096 (also nu = i, 6+8i)
+    and <= 1.6e-30, 7.1e-15, 3.5e-15 at rotation angles pi/2 (n = 520), 1.5,
+    2.34 (n = 1000).  Sizes above CONVERGE_DIM_CAP are refused.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

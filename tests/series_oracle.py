@@ -21,6 +21,8 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
+
 from causalprod.coefficients import forward_count_closed
 from causalprod.combinatorics import binomial
 
@@ -29,17 +31,17 @@ Mono = tuple[int, int, int]
 
 def _forward_terms(s_top: int) -> list[tuple[int, int, int, int, int, int]]:
     # writes its own degree loop instead of coefficients.degree_terms, so the
-    # oracle does not share an enumeration with the series it checks
-    out = []
+    # oracle does not share an enumeration with the series it checks; the
+    # closed form then takes the whole index table in one call
+    idx = []
     for s in range(1, s_top + 1):
         for m in range(s):
             for n in range(s - m):
                 p = s - 1 - m - n
                 for q in range(s + 1):
-                    c = forward_count_closed(m, n, p, q)
-                    if c:
-                        out.append((s, m, n, p, q, c))
-    return out
+                    idx.append((s, m, n, p, q))
+    counts = forward_count_closed(*np.array(idx, dtype=np.int64).reshape(-1, 5).T[1:])
+    return [(*i, int(c)) for i, c in zip(idx, counts) if c]
 
 
 def isometry_series_defects(s_top: int) -> list[tuple[Mono, int, Fraction]]:

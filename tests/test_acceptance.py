@@ -52,16 +52,17 @@ def _report(num, name, ok, detail=""):
 
 def test_criterion_01_coefficient_oracle_equivalence():
     t0 = time.time()
-    checked = 0
-    ok = True
+    idx = []
     for w in range(0, 8):
         for m in range(w + 1):
             for n in range(w + 1 - m):
                 p = w - m - n
                 for q in range(0, w + 2):
-                    ok = ok and forward_count_brute(m, n, p, q) == forward_count_closed(m, n, p, q)
-                    ok = ok and reversed_count_brute(m, n, p, q) == reversed_count_closed(m, n, p, q)
-                    checked += 2
+                    idx.append((m, n, p, q))
+    idx = np.array(idx).T
+    ok = np.array_equal(forward_count_brute(*idx), forward_count_closed(*idx))
+    ok = ok and np.array_equal(reversed_count_brute(*idx), reversed_count_closed(*idx))
+    checked = 2 * idx.shape[1]
     elapsed = time.time() - t0
     _report(1, "coefficient oracle equivalence",
             ok and elapsed < 60.0, f"{checked} comparisons in {elapsed:.1f}s")
@@ -89,37 +90,34 @@ def test_criterion_03_path_census():
 
 
 def test_criterion_04_dyck_catalan():
-    ok = True
-    for m in range(8):
-        for n in range(8):
-            for p in range(8):
-                if m - n >= -p - 1:
-                    ok = ok and len(enumerate_dyck(DyckQuery(0, m, n, p))) == \
-                        catalan_general(m, n, p)
-    checked = 0
+    queries = [(m, n, p) for m in range(8) for n in range(8) for p in range(8) if m - n >= -p - 1]
+    counts = catalan_general(*np.array(queries).T)
+    ok = all(len(enumerate_dyck(DyckQuery(0, *mnp))) == c for mnp, c in zip(queries, counts))
+    triples = []
     for m in range(-8, 9):
         for n in range(0, 9):
             for p in range(-8, 9):
                 if m >= p and m + n + p + 1 >= 0:
-                    ok = ok and catalan_recurrence_holds(m, n, p)
-                    checked += 1
-    _report(4, "Dyck census and Catalan recurrence", ok, f"{checked} recurrence triples")
+                    triples.append((m, n, p))
+    ok = ok and bool(catalan_recurrence_holds(*np.array(triples).T).all())
+    _report(4, "Dyck census and Catalan recurrence", ok, f"{len(triples)} recurrence triples")
 
 
 def test_criterion_05_case_identities():
-    ok = True
+    # pairs of a forward_count_closed index (m, n, p, q) and the catalan_general
+    # index (m, n, p) it must equal
+    pairs = []
     for k in range(0, 7):
-        ok = ok and forward_count_closed(0, 2 * k, 0, k + 1) == catalan_general(k, k, 0)
+        pairs.append(((0, 2 * k, 0, k + 1), (k, k, 0)))
         for n in range(0, 2 * k + 2):
-            ok = ok and forward_count_closed(0, n, 2 * k - n + 1, k + 1) == \
-                catalan_general(k, n - k, 0)
-            ok = ok and forward_count_closed(2 * k - n + 1, n, 0, k + 1) == \
-                catalan_general(k, n - k, 0)
+            pairs.append(((0, n, 2 * k - n + 1, k + 1), (k, n - k, 0)))
+            pairs.append(((2 * k - n + 1, n, 0, k + 1), (k, n - k, 0)))
         for r in range(0, k + 1):
             for rp in range(0, 2 * k - r + 1):
-                val = forward_count_closed(r, 2 * k - r - rp, rp, k)
-                ok = ok and val == catalan_general(k - r, k - rp, r - 1)
-                ok = ok and val == catalan_general(k - rp, k - r, rp - 1)
+                pairs.append(((r, 2 * k - r - rp, rp, k), (k - r, k - rp, r - 1)))
+                pairs.append(((r, 2 * k - r - rp, rp, k), (k - rp, k - r, rp - 1)))
+    lhs, rhs = (np.array(side).T for side in zip(*pairs))
+    ok = np.array_equal(forward_count_closed(*lhs), catalan_general(*rhs))
     _report(5, "closed-form case identities", ok, "k <= 6")
 
 

@@ -326,13 +326,14 @@ def test_apply_product_random_block(n):
 @pytest.mark.parametrize("nu", [NU, 1.5, math.pi / 2, 3.0],
                          ids=["1+0.5i", "angle1.5", "angle_pi_over_2", "angle3.0"])
 def test_apply_product_matches_dense_for_every_tile_shape(nu):
-    """Every n in 2..80: group sizes g = 1..9 with every lead size
-    1 + (n-1) % g in [1, g], 1..8 groups, and anti-diagonals of one and of
-    several tiles.  A float nu is the rotation angle per factor: at pi/2
-    (c ~ 6e-17) the chain's powers of c vanish, and at 3.0 (c < 0) they
+    """Every n in 2..80: group sizes g in {1, 2, 4, 8} with every lead size
+    1 + (n-1) % g in [1, g], 1..9 groups, and anti-diagonals of one and of
+    several tiles; at nu = 1+0.5i also n = 128..143, where g = 16 meets every
+    lead size 1..16.  A float nu is the rotation angle per factor: at pi/2
+    (c ~ 6e-17) the tiles' powers of c vanish, and at 3.0 (c < 0) they
     alternate in sign."""
     rng = np.random.default_rng(80)
-    for n in range(2, 81):
+    for n in [*range(2, 81), *(range(128, 144) if nu is NU else ())]:
         nu_n = nu if isinstance(nu, ComplexParam) else ComplexParam(0.0, nu * n / IV.width)
         w = double_product(n, IV, nu_n)
         block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
@@ -341,7 +342,7 @@ def test_apply_product_matches_dense_for_every_tile_shape(nu):
 
 
 def test_apply_product_memory_is_linear_in_n():
-    """The peak holds no n x n array and no table of more than n rows (1.8 MB measured)."""
+    """The peak holds no n x n array, only the block and a few tiles (1.4 MB measured)."""
     units = _units(4096, [0, 1, 2047, 4095])
     tracemalloc.start()
     try:
@@ -366,8 +367,8 @@ def test_apply_product_coarse_angles(theta, n):
     assert np.max(np.abs(fast - dense)) < 1e-13
 
 
-# at nu = 1 + 0.5i and n = 4096, forming the powers of cos(theta) by repeated
-# squaring put 1.1e-13 on the diagonal; the scan's own error there is 1.7e-14
+# each tile takes its O(1) diagonal from pow: formed by the tiles' products instead, it
+# reads 1.14e-13 against the scan at nu = 1 + 0.5i and n = 4096
 @pytest.mark.parametrize("nu", [ComplexParam(0.6, 0.8), ComplexParam(3.0, -4.0), NU])
 @pytest.mark.parametrize("n, cols", [(1024, [0, 511]), (4096, [0, 1, 2047, 4095])])
 def test_apply_product_matches_scan_beyond_dense_cap(n, cols, nu):
@@ -444,11 +445,12 @@ def _int_sweep(n, c, up, lo):
     return np.array(rows)
 
 
-# With integer (c, up, lo) and lo = +-1 the sweep is a polynomial whose every float
-# operation is exact while the entries stay below 2**53 (up to n = 40 at c = 1, n = 20
-# at c = 2), so the tiles, the lead and D are checked at zero tolerance.
+# With integer (c, up, lo) the sweep is a polynomial in them, so every float operation
+# is exact while the entries stay below 2**53 (up to n = 40 at c = 1 and lo = +-1, n = 20
+# at c = 2 or lo = 2, n = 16 at lo = 3): the tiles, the lead and own are checked at zero
+# tolerance.  c = 0 makes every tile's diagonal zero.
 @pytest.mark.parametrize("c, up, lo, n_max", [(1, 1, -1, 40), (1, -1, 1, 40), (1, 2, -1, 40),
-                                              (2, 1, 1, 20)])
+                                              (2, 1, 1, 20), (1, 1, 3, 16), (0, 1, 2, 20)])
 def test_grouped_sweep_is_exact_at_integer_factors(c, up, lo, n_max):
     for n in range(2, n_max + 1):
         exact = _int_sweep(n, c, up, lo)
